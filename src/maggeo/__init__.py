@@ -31,7 +31,7 @@ from .errors import (  # noqa: F401
     SingularJacobianError,
     StiffTrajectoryError,
 )
-from .geom import ChartedSystem, TangentSample  # noqa: F401
+from .geom import ChartedSystem, PointGeometry  # noqa: F401
 from .flow import Orbit, PhaseState, energy, integrate, magnetic_transport  # noqa: F401
 from .loop import (  # noqa: F401
     DiscreteLoop,

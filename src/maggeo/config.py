@@ -162,7 +162,7 @@ def _build_expression_system(sysc, problems):
     s_entries = grab("sigma", pairs=True)
     t_entries = grab("theta", pairs=False)
     for i in range(dim):
-        if (i, i) not in g_entries and not any(key in g_entries for key in ((i, i),)):
+        if (i, i) not in g_entries:
             problems.append(f"system.g{i+1}{i+1}: missing metric diagonal entry")
     if problems:
         return None
@@ -193,18 +193,9 @@ def _build_expression_system(sysc, problems):
             problems.append("system.lattice: needs one period per coordinate")
             return None
 
-    def sym_pairs(entries):
-        full = {}
-        for (i, j), expr in entries.items():
-            full[(i, j)] = expr
-        return full
-
-    g_full = sym_pairs(g_entries)
-    s_full = sym_pairs(s_entries)
-
     def metric(x):
         g = np.zeros((dim, dim))
-        for (i, j), expr in g_full.items():
+        for (i, j), expr in g_entries.items():
             val = expr(x)
             g[i, j] = val
             g[j, i] = val
@@ -212,7 +203,7 @@ def _build_expression_system(sysc, problems):
 
     def two_form(x):
         s = np.zeros((dim, dim))
-        for (i, j), expr in s_full.items():
+        for (i, j), expr in s_entries.items():
             val = expr(x)
             s[i, j] = val
             s[j, i] = -val
@@ -232,10 +223,10 @@ def _build_expression_system(sysc, problems):
         return ChartedSystem(scheme="fd", fd_step=fd_step, **kwargs)
 
     vars_ = [f"x{i+1}" for i in range(dim)]
-    dg = {key: [expr.diff(v) for v in vars_] for key, expr in g_full.items()}
+    dg = {key: [expr.diff(v) for v in vars_] for key, expr in g_entries.items()}
     d2g = {key: [[entry.diff(v) for v in vars_] for entry in row_]
            for key, row_ in ((key, dg[key]) for key in dg)}
-    ds = {key: [expr.diff(v) for v in vars_] for key, expr in s_full.items()}
+    ds = {key: [expr.diff(v) for v in vars_] for key, expr in s_entries.items()}
 
     def dmetric(x):
         out = np.zeros((dim, dim, dim))
@@ -311,10 +302,8 @@ _TASK_SPECS = {
     "k_steps": (_as_int, ()),
     "grid": (lambda raw: _as_list(raw, _as_int), ()),
     "contractible": (_as_bool, ()),
-    "method": (str, ()),
     "center": (lambda raw: _as_list(raw), ()),
     "radii": (lambda raw: _as_list(raw), ("mane-bound",)),
-    "box": (lambda raw: _as_list(raw), ()),
 }
 
 _POSITIVE_KEYS = ("k", "k0", "t_end", "t_guess", "tolerance", "nodes", "modes",

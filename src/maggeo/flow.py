@@ -44,9 +44,8 @@ def energy(sys, state):
 
 def magnetic_ode_rhs(sys, state):
     """(dx/dt, dv/dt) with (dv/dt)^k = -Gamma^k_ij v^i v^j + Om^k_j v^j."""
-    gam = geom.christoffel(sys, state.x)
-    om = geom.lorentz_matrix(sys, state.x)
-    acc = -np.einsum("kij,i,j->k", gam, state.v, state.v) + om @ state.v
+    pg = geom.PointGeometry(sys, state.x)
+    acc = -np.einsum("kij,i,j->k", pg.gamma, state.v, state.v) + pg.omega @ state.v
     return state.v.copy(), acc
 
 
@@ -250,12 +249,15 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
 def omega_tilde(sys, state, V):
     """Omega_tilde(V) = Om(V_1) + (Om V)_1 + (1/2)(Om V_2)_2 with the
     g-orthogonal splitting along the state's velocity."""
-    x, v = state.x, state.v
-    g = sys.metric_at(x)
+    return _omega_tilde(geom.PointGeometry(sys, state.x), state.v, V)
+
+
+def _omega_tilde(pg, v, V):
+    g = pg.g
     v2 = float(v @ g @ v)
     if v2 <= 0.0:
         raise ValueError("zero velocity: projections undefined")
-    om = geom.lorentz_matrix(sys, x)
+    om = pg.omega
     V = np.asarray(V, dtype=float)
 
     def par(w):
@@ -299,10 +301,9 @@ def magnetic_transport(sys, orbit, V0, tolerance=None):
     def rhs_for(seg):
         def rhs(t, V):
             y = seg.sol(np.clip(t, seg.t0, seg.t1))
-            st = PhaseState(y[:n], y[n:])
-            gam = geom.christoffel(sys, st.x)
-            corr = -np.einsum("kij,i,j->k", gam, st.v, V)
-            return corr + omega_tilde(sys, st, V)
+            pg = geom.PointGeometry(sys, y[:n])
+            corr = -np.einsum("kij,i,j->k", pg.gamma, y[n:], V)
+            return corr + _omega_tilde(pg, y[n:], V)
         return rhs
 
     values = np.empty((len(orbit.t), n))

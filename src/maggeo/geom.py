@@ -21,13 +21,19 @@ nabla_omega       ``dOm[k, j, i] = (nabla_{e_i} Omega)^k_j``
 Sign convention: the sectional curvature of the round unit sphere is +1,
 i.e. ``<R(u,v)v, u>_g = 1`` for orthonormal ``u, v``.
 
-All operations are pure functions of their inputs; ``ChartedSystem``
-values are immutable after construction and safe to share across workers.
+``PointGeometry(sys, x)`` evaluates and checks each field (g, sigma and
+their derivatives) at most once per point, on first use: g is checked
+symmetric, and the one Cholesky factorisation that gives g^{-1} is the
+positive-definiteness check.  It caches the tensors built from the fields
+the same way.  Every function below takes a point or its
+``PointGeometry`` as ``x``; callers that need several quantities at one
+point share one.  ``ChartedSystem`` values are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,16 +121,6 @@ class ChartedSystem:
             raise DegenerateMetricError(f"metric not symmetric at x={np.asarray(x)!r}")
         return g
 
-    def inverse_metric_at(self, x):
-        g = self.metric_at(x)
-        try:
-            cho = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise DegenerateMetricError(f"degenerate metric at x={np.asarray(x)!r}") from None
-        ident = np.eye(self.dim)
-        inv_l = np.linalg.solve(cho, ident)
-        return inv_l.T @ inv_l
-
     def two_form_at(self, x):
         s = np.asarray(self.two_form(np.asarray(x, dtype=float)), dtype=float)
         scale = max(1.0, float(np.max(np.abs(s))))
@@ -190,28 +186,60 @@ class ChartedSystem:
         return _fd_jacobian(self.two_form, x, self._steps(x))
 
 
-@dataclass(frozen=True)
-class TangentSample:
-    """A base point with one or two tangent vectors (contravariant)."""
+# ---------------------------------------------------------------------------
+# everything at one point
 
-    x: np.ndarray
-    v: np.ndarray
-    w: Optional[np.ndarray] = None
 
-    def require_unit(self, sys, tol=_UNIT_TOL):
-        if abs(sys.norm(self.x, self.v) - 1.0) > tol:
-            raise FrameError("frame violation: |v|_g != 1")
-        return self
+def _field(method):
+    """A field of the system, evaluated (and checked) by ``sys.<method>``."""
+    return cached_property(lambda pg: getattr(pg.sys, method)(pg.x))
 
-    def require_orthonormal(self, sys, tol=_UNIT_TOL):
-        self.require_unit(sys, tol)
-        if self.w is None:
-            raise FrameError("frame violation: missing second vector")
-        if abs(sys.norm(self.x, self.w) - 1.0) > tol:
-            raise FrameError("frame violation: |w|_g != 1")
-        if abs(sys.inner(self.x, self.v, self.w)) > tol:
-            raise FrameError("frame violation: <v,w>_g != 0")
-        return self
+
+class PointGeometry:
+    """The fields of ``sys`` at the point ``x`` (``g``, ``ginv``, ``dg``,
+    ``d2g``, ``sigma``, ``dsigma``) and the tensors built from them
+    (``gamma``, ``dgamma``, ``riemann``, ``omega``, ``nabla_omega``), each
+    computed at most once, on first use; indices as in the module docstring."""
+
+    def __init__(self, sys, x):
+        self.sys = sys
+        self.x = np.asarray(x, dtype=float)
+
+    @classmethod
+    def of(cls, sys, x):
+        """``x`` if it already is a PointGeometry, else the geometry of sys at x."""
+        return x if isinstance(x, cls) else cls(sys, x)
+
+    g = _field("metric_at")
+    dg = _field("dmetric_at")
+    d2g = _field("d2metric_at")
+    sigma = _field("two_form_at")
+    dsigma = _field("dtwo_form_at")
+    gamma = cached_property(lambda pg: christoffel(pg.sys, pg))
+    riemann = cached_property(lambda pg: riemann_tensor(pg.sys, pg))
+    omega = cached_property(lambda pg: lorentz_matrix(pg.sys, pg))
+    nabla_omega = cached_property(lambda pg: nabla_omega_tensor(pg.sys, pg))
+
+    @cached_property
+    def ginv(self):
+        try:
+            cho = np.linalg.cholesky(self.g)
+        except np.linalg.LinAlgError:
+            raise DegenerateMetricError(f"degenerate metric at x={self.x!r}") from None
+        inv_l = np.linalg.solve(cho, np.eye(self.sys.dim))
+        return inv_l.T @ inv_l
+
+    @cached_property
+    def dgamma(self):
+        """dgamma[k, i, j, m] = d_m Gamma^k_ij."""
+        d2g = self.d2g
+        dterm = (np.einsum("jlim->lijm", d2g) + np.einsum("iljm->lijm", d2g)
+                 - np.einsum("ijlm->lijm", d2g))
+        # Gamma = (1/2) g^{-1} T with T built from dg as in christoffel, and
+        # d_m g^{-1} = -g^{-1} (d_m g) g^{-1}, so
+        # d_m Gamma = g^{-1} ((1/2) d_m T - (d_m g) Gamma)
+        return np.einsum("kl,lijm->kijm", self.ginv,
+                         0.5 * dterm - np.einsum("lbm,bij->lijm", self.dg, self.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -263,64 +291,46 @@ def _fd_hessian(fn, x, h):
 
 def christoffel(sys, x):
     """Christoffel symbols Gamma[k, i, j] = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-    ginv = sys.inverse_metric_at(x)
-    dg = sys.dmetric_at(x)
+    pg = PointGeometry.of(sys, x)
+    ginv, dg = pg.ginv, pg.dg
     # dg[j, l, i] = d_i g_jl
     term = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
             - np.einsum("ijl->lij", dg))
     return 0.5 * np.einsum("kl,lij->kij", ginv, term)
 
 
-def dchristoffel(sys, x):
-    """Coordinate derivatives dGamma[k, i, j, m] = d_m Gamma^k_ij."""
-    g = sys.metric_at(x)
-    ginv = sys.inverse_metric_at(x)
-    dg = sys.dmetric_at(x)
-    d2g = sys.d2metric_at(x)
-    term = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
-            - np.einsum("ijl->lij", dg))
-    dterm = (np.einsum("jlim->lijm", d2g) + np.einsum("iljm->lijm", d2g)
-             - np.einsum("ijlm->lijm", d2g))
-    # d_m g^{kl} = -g^{ka} (d_m g_ab) g^{bl}
-    dginv = -np.einsum("ka,abm,bl->klm", ginv, dg, ginv)
-    return 0.5 * (np.einsum("klm,lij->kijm", dginv, term)
-                  + np.einsum("kl,lijm->kijm", ginv, dterm))
-
-
 def riemann_tensor(sys, x):
     """Curvature R[l, k, i, j] with (R(u,v)w)^l = R[l,k,i,j] u^i v^j w^k."""
-    gam = christoffel(sys, x)
-    dgam = dchristoffel(sys, x)
-    r = (np.einsum("ljki->lkij", dgam) - np.einsum("likj->lkij", dgam)
-         + np.einsum("lim,mjk->lkij", gam, gam)
-         - np.einsum("ljm,mik->lkij", gam, gam))
-    return r
+    pg = PointGeometry.of(sys, x)
+    gam, dgam = pg.gamma, pg.dgamma
+    return (np.einsum("ljki->lkij", dgam) - np.einsum("likj->lkij", dgam)
+            + np.einsum("lim,mjk->lkij", gam, gam)
+            - np.einsum("ljm,mik->lkij", gam, gam))
 
 
 def riemann(sys, x, u, v, w):
     """The curvature vector R(u,v)w; trilinear in (u, v, w)."""
-    r = riemann_tensor(sys, x)
-    return np.einsum("lkij,i,j,k->l", r, np.asarray(u, float),
+    return np.einsum("lkij,i,j,k->l", PointGeometry.of(sys, x).riemann, np.asarray(u, float),
                      np.asarray(v, float), np.asarray(w, float))
 
 
 def sectional(sys, x, u, v):
     """Sectional curvature of the plane spanned by u, v."""
-    g = sys.metric_at(x)
+    pg = PointGeometry.of(sys, x)
+    g = pg.g
     uu = float(u @ g @ u)
     vv = float(v @ g @ v)
     uv = float(u @ g @ v)
     area2 = uu * vv - uv * uv
     if area2 <= 0:
         raise FrameError("degenerate frame: u, v do not span a plane")
-    return float(riemann(sys, x, u, v, v) @ g @ u) / area2
+    return float(riemann(sys, pg, u, v, v) @ g @ u) / area2
 
 
 def ricci(sys, x, v):
     """Ricci curvature Ric(v, v) = trace of u -> R(u, v)v (basis independent)."""
-    r = riemann_tensor(sys, x)
     v = np.asarray(v, dtype=float)
-    return float(np.einsum("ikij,j,k->", r, v, v))
+    return float(np.einsum("ikij,j,k->", PointGeometry.of(sys, x).riemann, v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +339,30 @@ def ricci(sys, x, v):
 
 def lorentz_matrix(sys, x):
     """Matrix of the Lorentz operator, Om = g^{-1} sigma."""
-    return sys.inverse_metric_at(x) @ sys.two_form_at(x)
+    pg = PointGeometry.of(sys, x)
+    return pg.ginv @ pg.sigma
 
 
 def lorentz(sys, x, w):
     """Omega(w): the unique g-antisymmetric operator with <v, Omega(w)> = sigma(v, w)."""
-    return lorentz_matrix(sys, x) @ np.asarray(w, dtype=float)
+    return PointGeometry.of(sys, x).omega @ np.asarray(w, dtype=float)
 
 
 def nabla_omega_tensor(sys, x):
     """Covariant derivative of Omega: dOm[k, j, i] = (nabla_{e_i} Omega)^k_j."""
-    ginv = sys.inverse_metric_at(x)
-    sig = sys.two_form_at(x)
-    dg = sys.dmetric_at(x)
-    dsig = sys.dtwo_form_at(x)
-    gam = christoffel(sys, x)
-    # d_i Om^k_j = d_i (g^{ka} sigma_aj)
-    dginv = -np.einsum("ka,abi,bl->kli", ginv, dg, ginv)
-    dom = np.einsum("kai,aj->kji", dginv, sig) + np.einsum("ka,aji->kji", ginv, dsig)
-    om = ginv @ sig
+    pg = PointGeometry.of(sys, x)
+    om, gam = pg.omega, pg.gamma
+    # d_i Om = g^{-1} (d_i sigma - (d_i g) Om), from d_i (g Om) = d_i sigma
+    dom = np.einsum("ka,aji->kji", pg.ginv,
+                    pg.dsigma - np.einsum("abi,bj->aji", pg.dg, om))
     return (dom + np.einsum("kil,lj->kji", gam, om)
             - np.einsum("lij,kl->kji", gam, om))
 
 
 def nabla_omega(sys, x, w, v):
     """(nabla_w Omega)(v); bilinear in (w, v)."""
-    dom = nabla_omega_tensor(sys, x)
-    return np.einsum("kji,i,j->k", dom, np.asarray(w, float), np.asarray(v, float))
+    return np.einsum("kji,i,j->k", PointGeometry.of(sys, x).nabla_omega,
+                     np.asarray(w, float), np.asarray(v, float))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +375,8 @@ def orthonormal_completion(sys, x, v):
     Gram-Schmidt over the coordinate basis, pivoting at each stage on the
     candidate with the largest residual norm (deterministic and stable).
     """
-    g = sys.metric_at(x)
-    n = sys.dim
+    g = PointGeometry.of(sys, x).g
+    n = g.shape[0]
     v = np.asarray(v, dtype=float)
     nv = float(np.sqrt(v @ g @ v))
     if abs(nv - 1.0) > _UNIT_TOL:
@@ -401,8 +408,8 @@ def coordinate_frame(sys, x, order=None):
     Returns an (n, n) matrix whose columns form a g-orthonormal frame.
     ``order`` overrides the pivot order (used to probe frame invariance).
     """
-    g = sys.metric_at(x)
-    n = sys.dim
+    g = PointGeometry.of(sys, x).g
+    n = g.shape[0]
     if order is None:
         order = range(n)
     frame = []

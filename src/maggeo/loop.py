@@ -15,8 +15,8 @@ in general.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -147,24 +147,20 @@ class Variation:
 class _LoopGeometry:
     def __init__(self, sys, loop):
         loop.validate_steps(sys)
-        x = loop.nodes
-        n_nodes, dim = x.shape
         drift = loop.drift(sys)
-        xper = x - np.outer(loop.s, drift)
+        xper = loop.nodes - np.outer(loop.s, drift)
         self.xdot = spectral_derivative(xper) + drift
         self.xddot = spectral_derivative(self.xdot)
-        self.g = np.array([sys.metric_at(xi) for xi in x])
-        self.ginv = np.array([sys.inverse_metric_at(xi) for xi in x])
-        self.gamma = np.array([geom.christoffel(sys, xi) for xi in x])
-        self.omega = np.array([geom.lorentz_matrix(sys, xi) for xi in x])
+        self.points = [geom.PointGeometry(sys, xi) for xi in loop.nodes]
+        self.g = np.array([p.g for p in self.points])
+        self.ginv = np.array([p.ginv for p in self.points])
+        self.gamma = np.array([p.gamma for p in self.points])
+        self.omega = np.array([p.omega for p in self.points])
         self.speed = np.sqrt(np.einsum("ni,nij,nj->n", self.xdot, self.g, self.xdot))
         with np.errstate(invalid="ignore", divide="ignore"):
             self.unit = np.where(self.speed[:, None] > 0.0,
                                  self.xdot / np.where(self.speed == 0.0, 1.0,
                                                       self.speed)[:, None], 0.0)
-        self._sys = sys
-        self._loop = loop
-        self._curv = None
 
     def require_immersed(self):
         """Reject loops with zero-speed nodes (constant loops included)."""
@@ -172,25 +168,16 @@ class _LoopGeometry:
             raise ValueError("singular parametrization: zero-speed node")
         return self
 
-    @property
+    @cached_property
     def curvature_blocks(self):
         """Per-node matrices M1[a,b] = <R(e_a, xdot)xdot, e_b>_g and
         M2[a,b] = <(D_{e_a} Om)(xdot), e_b>_g."""
-        if self._curv is None:
-            sys, loop = self._sys, self._loop
-            n_nodes, dim = loop.nodes.shape
-            m1 = np.empty((n_nodes, dim, dim))
-            m2 = np.empty((n_nodes, dim, dim))
-            for i, xi in enumerate(loop.nodes):
-                riem = geom.riemann_tensor(sys, xi)
-                dom = geom.nabla_omega_tensor(sys, xi)
-                xd = self.xdot[i]
-                rv = np.einsum("lkij,j,k->li", riem, xd, xd)   # rv[l, a]
-                m1[i] = np.einsum("la,lb->ab", rv, self.g[i])
-                dv = np.einsum("kji,j->ki", dom, xd)           # dv[k, a]
-                m2[i] = np.einsum("ka,kb->ab", dv, self.g[i])
-            self._curv = (m1, m2)
-        return self._curv
+        riem = np.array([p.riemann for p in self.points])
+        dom = np.array([p.nabla_omega for p in self.points])
+        rv = np.einsum("nlkij,nj,nk->nli", riem, self.xdot, self.xdot)   # rv[n, l, a]
+        dv = np.einsum("nkji,nj->nki", dom, self.xdot)                    # dv[n, k, a]
+        return (np.einsum("nla,nlb->nab", rv, self.g),
+                np.einsum("nka,nkb->nab", dv, self.g))
 
 
 def _loop_geometry(sys, loop):
@@ -432,15 +419,14 @@ def make_test_variation(sys, loop, v_field, dv_field=None, tol=1e-8):
 def transport_derivative(sys, loop, v_field):
     """Nodal s-derivative of a solution of the transport equation
     DV/dt = Omega_tilde(V), read off the equation itself."""
-    from .flow import PhaseState, omega_tilde
+    from .flow import _omega_tilde
 
     lg = _loop_geometry(sys, loop)
     T = loop.period
     v = np.asarray(v_field, dtype=float)
     out = np.empty_like(v)
     for i in range(loop.n_nodes):
-        st = PhaseState(loop.nodes[i], lg.xdot[i] / T)
-        out[i] = (T * omega_tilde(sys, st, v[i])
+        out[i] = (T * _omega_tilde(lg.points[i], lg.xdot[i] / T, v[i])
                   - np.einsum("kab,a,b->k", lg.gamma[i], lg.xdot[i], v[i]))
     return out
 
@@ -519,7 +505,8 @@ class IndexReport:
 def loop_frame(sys, loop, order=None):
     """Periodic g-orthonormal frame along the loop (Gram-Schmidt of the
     coordinate basis with a fixed pivot order), plus its s-derivative."""
-    frames = np.array([geom.coordinate_frame(sys, xi, order=order) for xi in loop.nodes])
+    frames = np.array([geom.coordinate_frame(sys, p, order=order)
+                       for p in _loop_geometry(sys, loop).points])
     dframes = spectral_derivative(frames)
     return frames, dframes
 
@@ -644,7 +631,7 @@ def mane_upper_bound(sys, region, n_samples=4096, seed=0):
         for row in pts:
             x = np.array([lo + (hi - lo) * t for (lo, hi), t in zip(box, row)])
             theta = sys.primitive_at(x)
-            ginv = sys.inverse_metric_at(x)
+            ginv = geom.PointGeometry(sys, x).ginv
             sup = max(sup, float(np.sqrt(max(theta @ ginv @ theta, 0.0))))
         sups.append(sup)
     growing = len(sups) >= 2 and all(b > a * (1.0 + 1e-9) + 1e-12 for a, b in zip(sups, sups[1:]))

@@ -1,17 +1,27 @@
 """Magnetic curvature operators, scalar curvature functions, and scans.
 
-The magnetic curvature operator at energy k combines the Riemannian
-curvature with first-order (via the covariant derivative of the Lorentz
-operator) and zeroth-order (quadratic in the Lorentz operator) magnetic
-terms.  Its quadratic form on unit orthogonal pairs is the k-magnetic
-sectional curvature; its trace on the orthogonal complement of a unit
-direction is the k-magnetic Ricci curvature.
+For a unit vector v the magnetic curvature operator at energy k is the
+linear map w -> M_k(v, w), which splits into three k-free parts:
+
+    M_k(v, .) = 2k R_v - sqrt(2k) D_v + A_v,
+
+    R_v w = R(w, v)v,
+    D_v w = (D_w Om)(v) - 1/2 (D_v Om)(w) + 1/2 <(D_v Om)(w), v> v,
+    A_v w = 3/4 <w, Om v> Om v - 1/4 Om^2 w - 1/4 <Om w, Om v> v.
+
+The k-magnetic sectional curvature of a unit orthogonal pair (v, w) is
+the quadratic form <M_k(v, w), w>_g; the k-magnetic Ricci curvature is
+the trace of M_k(v, .) on the orthogonal complement of v, which is
+tr M_k - <M_k(v, v), v>_g.  The parts are built once per point and
+direction, so a scan over a k grid is scalar arithmetic per sample.
+Functions that take a point ``x`` also take a ``geom.PointGeometry`` of it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,121 +35,109 @@ POSITIVITY_GUARD = 1e-12
 _UNIT_TOL = 1e-8
 
 
-def _check_frame(sys, x, v, w=None):
-    if abs(sys.norm(x, v) - 1.0) > _UNIT_TOL:
+def _norm(g, v):
+    return float(np.sqrt(max(float(v @ g @ v), 0.0)))
+
+
+def _point(sys, x, v, w=None, unit_w=False):
+    """The geometry at x, with v (and w) checked to be a unit (orthonormal) frame."""
+    pg = geom.PointGeometry.of(sys, x)
+    v = np.asarray(v, float)
+    w = None if w is None else np.asarray(w, float)
+    if abs(_norm(pg.g, v) - 1.0) > _UNIT_TOL:
         raise FrameError("frame violation: |v|_g != 1")
-    if w is not None and abs(sys.inner(x, v, w)) > _UNIT_TOL * max(1.0, sys.norm(x, w)):
+    if w is not None and abs(float(v @ pg.g @ w)) > _UNIT_TOL * max(1.0, _norm(pg.g, w)):
         raise FrameError("frame violation: <v,w>_g != 0")
+    if unit_w and abs(_norm(pg.g, w) - 1.0) > _UNIT_TOL:
+        raise FrameError("frame violation: |w|_g != 1")
+    return pg, v, w
+
+
+def _check_energy(k):
+    if k <= 0:
+        raise ValueError("energy k must be positive")
+
+
+def _parts(pg, v):
+    """The k-free matrices (R_v, D_v, A_v) of M_k(v, .) at unit v."""
+    g, om, dom = pg.g, pg.omega, pg.nabla_omega
+    d_w = np.einsum("kji,j->ki", dom, v)   # w -> (D_w Om)(v)
+    d_v = np.einsum("kji,i->kj", dom, v)   # w -> (D_v Om)(w)
+    ov = om @ v
+    gov = g @ ov
+    return (np.einsum("lkij,j,k->li", pg.riemann, v, v),
+            d_w - 0.5 * d_v + 0.5 * np.outer(v, (g @ v) @ d_v),
+            0.75 * np.outer(ov, gov) - 0.25 * (om @ om) - 0.25 * np.outer(v, gov @ om))
+
+
+def _at_energy(k, parts):
+    """2k R - sqrt(2k) D + A, for the matrices or for scalar forms of them."""
+    r, d, a = parts
+    return 2.0 * k * r - math.sqrt(2.0 * k) * d + a
+
+
+def _sec_forms(g, parts, w):
+    """<P w, w>_g for each part P."""
+    gw = g @ w
+    return [float(gw @ (p @ w)) for p in parts]
+
+
+def _ric_forms(g, parts, v):
+    """tr P - <P v, v>_g for each part P: its trace on the complement of v."""
+    gv = g @ v
+    return [float(np.trace(p) - gv @ (p @ v)) for p in parts]
 
 
 def a_omega(sys, x, v, w):
     """Zeroth-order magnetic operator
     A(v, w) = 3/4 <w, Om v> Om v - 1/4 Om^2 w - 1/4 <Om w, Om v> v."""
-    _check_frame(sys, x, v, w)
-    g = sys.metric_at(x)
-    om = geom.lorentz_matrix(sys, x)
-    ov, ow = om @ v, om @ w
-    return (0.75 * float(w @ g @ ov) * ov
-            - 0.25 * (om @ ow)
-            - 0.25 * float(ow @ g @ ov) * np.asarray(v, float))
+    pg, v, w = _point(sys, x, v, w)
+    return _parts(pg, v)[2] @ w
 
 
 def r_omega_k(sys, x, v, w, k):
     """First-order magnetic operator
     R_k(v, w) = 2k R(w,v)v - sqrt(2k) [ (D_w Om)(v) - 1/2 (D_v Om)(w)
                 + 1/2 <(D_v Om)(w), v> v ]."""
-    _check_frame(sys, x, v, w)
-    if k <= 0:
-        raise ValueError("energy k must be positive")
-    g = sys.metric_at(x)
-    rw = geom.riemann(sys, x, w, v, v)
-    dom = geom.nabla_omega_tensor(sys, x)
-    dwv = np.einsum("kji,i,j->k", dom, w, v)
-    dvw = np.einsum("kji,i,j->k", dom, v, w)
-    v = np.asarray(v, float)
-    return (2.0 * k * rw
-            - np.sqrt(2.0 * k) * (dwv - 0.5 * dvw + 0.5 * float(dvw @ g @ v) * v))
+    pg, v, w = _point(sys, x, v, w)
+    _check_energy(k)
+    r, d, _ = _parts(pg, v)
+    return _at_energy(k, (r, d, 0.0)) @ w
 
 
 def m_omega_k(sys, x, v, w, k):
     """Magnetic curvature operator M_k = R_k + A applied to (v, w)."""
-    return r_omega_k(sys, x, v, w, k) + a_omega(sys, x, v, w)
+    pg, v, w = _point(sys, x, v, w)
+    _check_energy(k)
+    return _at_energy(k, _parts(pg, v)) @ w
 
 
 def sec_omega_k(sys, x, v, w, k):
-    """k-magnetic sectional curvature of the unit orthogonal pair (v, w):
+    """k-magnetic sectional curvature <M_k(v, w), w>_g of the unit orthogonal
+    pair (v, w):
 
         2k Sec(v,w) - sqrt(2k) <(D_w Om)(v), w> + 3/4 <w, Om v>^2 + 1/4 |Om w|^2
     """
-    _check_frame(sys, x, v, w)
-    if abs(sys.norm(x, w) - 1.0) > _UNIT_TOL:
-        raise FrameError("frame violation: |w|_g != 1")
-    if k <= 0:
-        raise ValueError("energy k must be positive")
-    g = sys.metric_at(x)
-    om = geom.lorentz_matrix(sys, x)
-    sec = float(geom.riemann(sys, x, w, v, v) @ g @ w)
-    dwv = geom.nabla_omega(sys, x, w, v)
-    ov, ow = om @ v, om @ w
-    return (2.0 * k * sec
-            - np.sqrt(2.0 * k) * float(dwv @ g @ w)
-            + 0.75 * float(w @ g @ ov) ** 2
-            + 0.25 * float(ow @ g @ ow))
-
-
-def sec_quadratic(sys, x, v, w, k):
-    """<M_k(v, w), w> for w orthogonal to unit v, without normalizing w.
-
-    Quadratic in w; for unit w it equals ``sec_omega_k``.  This is the
-    removable form used inside the loop-space Hessian where fields may
-    vanish at isolated nodes.
-    """
-    g = sys.metric_at(x)
-    return float(m_omega_k_unnormalized(sys, x, v, w, k) @ g @ np.asarray(w, float))
-
-
-def m_omega_k_unnormalized(sys, x, v, w, k):
-    # identical to m_omega_k but skips the unit-w check (w may be any
-    # vector orthogonal to v; the result is linear in w)
-    _check_frame(sys, x, v, w)
-    g = sys.metric_at(x)
-    om = geom.lorentz_matrix(sys, x)
-    rw = geom.riemann(sys, x, w, v, v)
-    dom = geom.nabla_omega_tensor(sys, x)
-    dwv = np.einsum("kji,i,j->k", dom, w, v)
-    dvw = np.einsum("kji,i,j->k", dom, v, w)
-    v = np.asarray(v, float)
-    ov, ow = om @ v, om @ w
-    r_part = (2.0 * k * rw
-              - np.sqrt(2.0 * k) * (dwv - 0.5 * dvw + 0.5 * float(dvw @ g @ v) * v))
-    a_part = (0.75 * float(w @ g @ ov) * ov - 0.25 * (om @ ow)
-              - 0.25 * float(ow @ g @ ov) * v)
-    return r_part + a_part
+    pg, v, w = _point(sys, x, v, w, unit_w=True)
+    _check_energy(k)
+    return _at_energy(k, _sec_forms(pg.g, _parts(pg, v), w))
 
 
 def ric_omega_k(sys, x, v, k):
-    """k-magnetic Ricci curvature: trace of w -> <M_k(v, w), w> over an
-    orthonormal basis of the orthogonal complement of unit v."""
-    _check_frame(sys, x, v)
-    if k <= 0:
-        raise ValueError("energy k must be positive")
-    frame = geom.orthonormal_completion(sys, x, v)
-    g = sys.metric_at(x)
-    total = 0.0
-    for i in range(1, sys.dim):
-        e = frame[:, i]
-        total += float(m_omega_k(sys, x, v, e, k) @ g @ e)
-    return total
+    """k-magnetic Ricci curvature: trace of w -> <M_k(v, w), w> over the
+    orthogonal complement of unit v, tr M_k - <M_k(v, v), v>_g."""
+    pg, v, _ = _point(sys, x, v)
+    _check_energy(k)
+    return _at_energy(k, _ric_forms(pg.g, _parts(pg, v), v))
 
 
 def ric_omega_k_trace(sys, x, v, k):
     """Trace-formula route: 2k Ric(v) - sqrt(2k) trace((D Om)(v)) + trace A(v, .).
 
-    Independent of ``ric_omega_k``'s basis summation; the two must agree.
+    Independent of ``ric_omega_k``'s operator matrices; the two must agree.
     """
-    _check_frame(sys, x, v)
+    _, v, _ = _point(sys, x, v)
     dom = geom.nabla_omega_tensor(sys, x)
-    v = np.asarray(v, float)
     tr_dom = float(np.einsum("iji,j->", dom, v))
     return (2.0 * k * geom.ricci(sys, x, v)
             - np.sqrt(2.0 * k) * tr_dom
@@ -150,19 +148,10 @@ def trace_a_omega(sys, x, v):
     """trace A(v, .) = sum_i <e_i, Om v>^2 + 1/4 sum_ij <Om e_i, e_j>^2
     over an orthonormal completion {v, e_2, ..., e_n}; always >= 0, and
     zero exactly when Om vanishes at x."""
-    _check_frame(sys, x, v)
-    frame = geom.orthonormal_completion(sys, x, v)
-    g = sys.metric_at(x)
-    om = geom.lorentz_matrix(sys, x)
-    ov = om @ np.asarray(v, float)
-    total = 0.0
-    for i in range(1, sys.dim):
-        total += float(frame[:, i] @ g @ ov) ** 2
-    for i in range(1, sys.dim):
-        oei = om @ frame[:, i]
-        for j in range(1, sys.dim):
-            total += 0.25 * float(oei @ g @ frame[:, j]) ** 2
-    return total
+    pg, v, _ = _point(sys, x, v)
+    f = geom.orthonormal_completion(sys, pg, v)[:, 1:]   # columns e_2, ..., e_n
+    gom = pg.g @ pg.omega
+    return float(np.sum((f.T @ gom @ v) ** 2) + 0.25 * np.sum((f.T @ gom @ f) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -184,24 +173,21 @@ def field_strength(sys, x):
     """b(x) with sigma = b * volume form (surface charts only)."""
     if sys.dim != 2:
         raise ValueError("field_strength requires a surface system")
-    g = sys.metric_at(x)
-    return float(sys.two_form_at(x)[0, 1] / np.sqrt(np.linalg.det(g)))
+    pg = geom.PointGeometry.of(sys, x)
+    return float(pg.sigma[0, 1] / np.sqrt(np.linalg.det(pg.g)))
 
 
 def field_strength_gradient(sys, x):
     """Coordinate gradient db_i = d_i b via the system's derivative scheme."""
     if sys.dim != 2:
         raise ValueError("field_strength_gradient requires a surface system")
-    g = sys.metric_at(x)
-    dg = sys.dmetric_at(x)
-    dsig = sys.dtwo_form_at(x)
-    det = float(np.linalg.det(g))
-    ginv = sys.inverse_metric_at(x)
-    s12 = float(sys.two_form_at(x)[0, 1])
+    pg = geom.PointGeometry.of(sys, x)
+    det = float(np.linalg.det(pg.g))
+    s12 = float(pg.sigma[0, 1])
     out = np.zeros(2)
     for i in range(2):
-        ddet = det * float(np.trace(ginv @ dg[:, :, i]))
-        out[i] = dsig[0, 1, i] / np.sqrt(det) - 0.5 * s12 * ddet / det ** 1.5
+        ddet = det * float(np.trace(pg.ginv @ pg.dg[:, :, i]))
+        out[i] = pg.dsigma[0, 1, i] / np.sqrt(det) - 0.5 * s12 * ddet / det ** 1.5
     return out
 
 
@@ -209,8 +195,9 @@ def gauss_curvature(sys, x):
     """Gaussian curvature of a surface chart."""
     if sys.dim != 2:
         raise ValueError("gauss_curvature requires a surface system")
-    frame = geom.coordinate_frame(sys, x)
-    return geom.sectional(sys, x, frame[:, 0], frame[:, 1])
+    pg = geom.PointGeometry.of(sys, x)
+    frame = geom.coordinate_frame(sys, pg)
+    return geom.sectional(sys, pg, frame[:, 0], frame[:, 1])
 
 
 def surface_sec_b(K, b, db, v, k, metric=None):
@@ -232,10 +219,9 @@ def surface_sec_b(K, b, db, v, k, metric=None):
 
 def surface_sec(sys, x, v, k):
     """Evaluate the surface formula from a charted surface system."""
-    return surface_sec_b(gauss_curvature(sys, x),
-                         field_strength(sys, x),
-                         field_strength_gradient(sys, x),
-                         v, k, metric=sys.metric_at(x))
+    pg = geom.PointGeometry(sys, x)
+    return surface_sec_b(gauss_curvature(sys, pg), field_strength(sys, pg),
+                         field_strength_gradient(sys, pg), v, k, metric=pg.g)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +242,13 @@ class CurvatureSample:
 
 
 def curvature_sample(sys, x, v, k, w=None):
-    sec = sec_omega_k(sys, x, v, w, k) if w is not None else None
-    return CurvatureSample(x=np.asarray(x, float), v=np.asarray(v, float), k=float(k),
-                           ric=ric_omega_k(sys, x, v, k),
-                           traceA=trace_a_omega(sys, x, v),
-                           w=None if w is None else np.asarray(w, float), sec=sec)
+    pg, v, w = _point(sys, x, v, w, unit_w=w is not None)
+    _check_energy(k)
+    parts = _parts(pg, v)
+    sec = None if w is None else _at_energy(k, _sec_forms(pg.g, parts, w))
+    return CurvatureSample(x=pg.x, v=v, k=float(k),
+                           ric=_at_energy(k, _ric_forms(pg.g, parts, v)),
+                           traceA=trace_a_omega(sys, pg, v), w=w, sec=sec)
 
 
 def _sample_box(sys, box):
@@ -283,14 +271,14 @@ def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
     rng = np.random.default_rng(seed + 1)
     out = []
     for row in pts:
-        x = np.array([lo + (hi - lo) * t for (lo, hi), t in zip(bounds, row)])
-        frame = geom.coordinate_frame(sys, x)
+        pg = geom.PointGeometry(sys, [lo + (hi - lo) * t for (lo, hi), t in zip(bounds, row)])
+        x, g = pg.x, pg.g
+        frame = geom.coordinate_frame(sys, pg)
         z = rng.standard_normal(sys.dim)
         v = frame @ (z / np.linalg.norm(z))
         if not pairs:
             out.append((x, v))
             continue
-        g = sys.metric_at(x)
         for _ in range(50):
             z2 = rng.standard_normal(sys.dim)
             w = frame @ z2
@@ -378,23 +366,25 @@ def positivity_scan(sys, k_grid, sample_budget, seed, box=None):
     pair_samples = sample_points_directions(sys, sample_budget, seed, box, pairs=True)
     dir_samples = sample_points_directions(sys, sample_budget, seed + 10007, box)
 
-    # k-independent pieces: evaluate the k-free data once per sample
+    # the k-free forms of every sample, then scalar arithmetic per k
+    sec_forms = []
+    for x, v, w in pair_samples:
+        pg, v, w = _point(sys, x, v, w, unit_w=True)
+        sec_forms.append(_sec_forms(pg.g, _parts(pg, v), w))
+    ric_forms = []
+    for x, v in dir_samples:
+        pg, v, _ = _point(sys, x, v)
+        ric_forms.append(_ric_forms(pg.g, _parts(pg, v), v))
+
     min_sec, min_ric, arg_sec, arg_ric = [], [], [], []
     for k in k_grid:
-        best_sec, best_sec_x = np.inf, None
-        for x, v, w in pair_samples:
-            val = sec_omega_k(sys, x, v, w, k)
-            if val < best_sec:
-                best_sec, best_sec_x = val, x
-        best_ric, best_ric_x = np.inf, None
-        for x, v in dir_samples:
-            val = ric_omega_k(sys, x, v, k)
-            if val < best_ric:
-                best_ric, best_ric_x = val, x
-        min_sec.append(float(best_sec))
-        min_ric.append(float(best_ric))
-        arg_sec.append(np.asarray(best_sec_x))
-        arg_ric.append(np.asarray(best_ric_x))
+        secs = [_at_energy(k, f) for f in sec_forms]
+        rics = [_at_energy(k, f) for f in ric_forms]
+        i, j = int(np.argmin(secs)), int(np.argmin(rics))
+        min_sec.append(secs[i])
+        min_ric.append(rics[j])
+        arg_sec.append(np.asarray(pair_samples[i][0]))
+        arg_ric.append(np.asarray(dir_samples[j][0]))
 
     return ScanReport(k_grid=k_grid, min_sec=min_sec, min_ric=min_ric,
                       argmin_sec=arg_sec, argmin_ric=arg_ric,
@@ -455,12 +445,10 @@ def theorem_b_scan(sys, k0, k_steps=8, grid_shape=(24, 24), zero_tol=1e-9, box=N
 
     data = []
     for x in points:
-        b_val = field_strength(sys, x)
-        db = field_strength_gradient(sys, x)
-        ginv = sys.inverse_metric_at(x)
-        db_norm = float(np.sqrt(max(db @ ginv @ db, 0.0)))
-        k_gauss = gauss_curvature(sys, x)
-        data.append((x, b_val, db_norm, k_gauss))
+        pg = geom.PointGeometry(sys, x)
+        db = field_strength_gradient(sys, pg)
+        db_norm = float(np.sqrt(max(db @ pg.ginv @ db, 0.0)))
+        data.append((x, field_strength(sys, pg), db_norm, gauss_curvature(sys, pg)))
 
     k_grid = [k0 * (i + 1) / (k_steps + 1) for i in range(k_steps)]
     min_sec, positive = [], []

@@ -10,8 +10,6 @@ also copes with the orbit-cylinder rank deficiency of families.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -106,8 +104,9 @@ class SearchFailure:
         return payload
 
 
-def _unit_velocity(sys, x, v):
-    return np.asarray(v, float) / sys.norm(x, v)
+def _unit_velocity(g, v):
+    v = np.asarray(v, float)
+    return v / float(np.sqrt(max(float(v @ g @ v), 0.0)))
 
 
 def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
@@ -117,10 +116,12 @@ def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
     T = u[-1]
     if T <= 0:
         return None, None
-    vdir = _unit_velocity(sys, x0, v_ref)
-    frame = geom.orthonormal_completion(sys, x0, vdir)
+    pg = geom.PointGeometry(sys, x0)
+    g = pg.g
+    vdir = _unit_velocity(g, v_ref)
+    frame = geom.orthonormal_completion(sys, pg, vdir)
     raw = vdir + frame[:, 1:] @ d
-    v0 = np.sqrt(2.0 * k) * _unit_velocity(sys, x0, raw)
+    v0 = np.sqrt(2.0 * k) * _unit_velocity(g, raw)
     orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=tol, samples=9)
     xe, ve = orbit.states[-1, :n].copy(), orbit.states[-1, n:].copy()
     if orbit.meta["chart_swaps_total"] % 2 == 1 and sys.transition is not None:
@@ -135,7 +136,6 @@ def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
                     shift[i] = winding_target[i] * period
         dx = xe - x0 - shift
     dv = ve - v0
-    g = sys.metric_at(x0)
     frame_perp = frame[:, 1:]
     dv_perp = frame_perp.T @ (g @ dv)
     phase = float((x0 - x_ref) @ g @ v_ref)
@@ -223,9 +223,10 @@ def _build_record(sys, k, x_ref, v_ref, u, tol, n_nodes, mode_count,
     x0 = u[:n]
     d = u[n:2 * n - 1]
     T = float(u[-1])
-    vdir = _unit_velocity(sys, x0, v_ref)
-    frame = geom.orthonormal_completion(sys, x0, vdir)
-    v0 = np.sqrt(2.0 * k) * _unit_velocity(sys, x0, vdir + frame[:, 1:] @ d)
+    pg = geom.PointGeometry(sys, x0)
+    vdir = _unit_velocity(pg.g, v_ref)
+    frame = geom.orthonormal_completion(sys, pg, vdir)
+    v0 = np.sqrt(2.0 * k) * _unit_velocity(pg.g, vdir + frame[:, 1:] @ d)
     orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=min(tol, 1e-12),
                       samples=n_nodes + 1)
     lp = loop_mod.loop_from_orbit(orbit, n_nodes)
@@ -253,10 +254,10 @@ def orbit_curvature_extrema(sys, record, directions=16):
     min_sec = np.inf
     rng = np.random.default_rng(0)
     for i in range(0, lp.n_nodes, max(1, lp.n_nodes // 128)):
-        x = lp.nodes[i]
+        pg = lg.points[i]
         v = lg.unit[i]
-        min_ric = min(min_ric, magcurv.ric_omega_k(sys, x, v, k))
-        frame = geom.orthonormal_completion(sys, x, v)
+        min_ric = min(min_ric, magcurv.ric_omega_k(sys, pg, v, k))
+        frame = geom.orthonormal_completion(sys, pg, v)
         if sys.dim == 2:
             ws = [frame[:, 1]]
         else:
@@ -265,7 +266,7 @@ def orbit_curvature_extrema(sys, record, directions=16):
                 z = rng.standard_normal(sys.dim - 1)
                 ws.append(frame[:, 1:] @ (z / np.linalg.norm(z)))
         for w in ws:
-            min_sec = min(min_sec, magcurv.sec_omega_k(sys, x, v, w, k))
+            min_sec = min(min_sec, magcurv.sec_omega_k(sys, pg, v, w, k))
     return float(min_ric), float(min_sec)
 
 
@@ -406,21 +407,6 @@ def gradient_search(sys, k, initial_loop, schedule=None):
     return _lm_search(sys, k, initial_loop, cfg)
 
 
-def _descent_state(sys, loop, k):
-    force, c_tau, lg = loop_mod._force_residual(sys, loop, k)
-    # vector representative of the form (raise the covector with g)
-    rep = np.einsum("nij,nj->ni", lg.ginv, np.einsum("nij,nj->ni", lg.g, force))
-    norm = loop_mod.eta_norm(sys, loop, k)
-    return rep, c_tau, norm
-
-
-def _h1_precondition(field):
-    coef = np.fft.rfft(field, axis=0)
-    j = np.arange(coef.shape[0])
-    coef /= (1.0 + (2.0 * np.pi * j) ** 2)[:, None]
-    return np.fft.irfft(coef, n=field.shape[0], axis=0)
-
-
 def _closing_system(sys, k, n_nodes, n, trace):
     """Lean evaluator of the closing conditions; skips loop validation so
     the optimizer may probe freely.  Unknowns u = (nodes.ravel(), log T)."""
@@ -434,11 +420,9 @@ def _closing_system(sys, k, n_nodes, n, trace):
         force = np.empty_like(x)
         sp2 = np.empty(n_nodes)
         for i in range(n_nodes):
-            gam = geom.christoffel(sys, x[i])
-            om = geom.lorentz_matrix(sys, x[i])
-            g = sys.metric_at(x[i])
-            force[i] = xddot[i] + gam @ xdot[i] @ xdot[i] - T * (om @ xdot[i])
-            sp2[i] = xdot[i] @ g @ xdot[i]
+            pg = geom.PointGeometry(sys, x[i])
+            force[i] = xddot[i] + pg.gamma @ xdot[i] @ xdot[i] - T * (pg.omega @ xdot[i])
+            sp2[i] = xdot[i] @ pg.g @ xdot[i]
         c_tau = k - float(np.mean(sp2)) / (2.0 * T ** 2)
         return np.concatenate([force.ravel(), [c_tau * n_nodes]])
 
@@ -587,13 +571,10 @@ def orbit_seed_loop(sys, k, center, n_nodes=96, radius_scale=1.0):
                        orientation=-int(np.sign(b)))
 
 
-def multi_seed_search(sys, k, seeds, T_guess, workers=None, **kwargs):
-    """Run shoot for several seeds in parallel; merge deterministically by
+def multi_seed_search(sys, k, seeds, T_guess, **kwargs):
+    """Run shoot for each seed in turn; merge deterministically by
     (closure residual, period)."""
-    if workers is None:
-        workers = int(os.environ.get("MAGGEO_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda st: shoot(sys, k, st, T_guess, **kwargs), seeds))
+    results = [shoot(sys, k, st, T_guess, **kwargs) for st in seeds]
     records = [r for r in results if isinstance(r, OrbitRecord)]
     failures = [r for r in results if isinstance(r, SearchFailure)]
     records.sort(key=lambda r: (r.closure_residual, r.period))

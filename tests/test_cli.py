@@ -110,6 +110,16 @@ dir = {out_dir}
         assert status == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("line", ["method = shoot", "box = 0, 1, 0, 1"])
+    def test_unread_task_keys_rejected(self, tmp_path, line):
+        text = TORUS_FIND_ORBIT.replace("k = 0.5\n", f"k = 0.5\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(out=tmp_path / "out"))
+        assert err.value.problems == [f"task.{key}: unknown key"]
+        assert cli.main(["--config", write_config(tmp_path, text)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_expression_system_builds(self, tmp_path):
         path = write_config(tmp_path, EXPRESSION_SYSTEM)
         config = load_config(path)

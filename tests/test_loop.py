@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_variation, unit_normal_field
-from maggeo import loop as loop_mod, magcurv, solve, systems
+from maggeo import geom, loop as loop_mod, magcurv, solve, systems
 from maggeo.errors import ActionUndefinedError, FrameError, NotCriticalError
 
 TWO_PI = 2.0 * np.pi
@@ -131,6 +131,22 @@ class TestHessian:
                   + loop_mod.action(torus, minus, K)) / eps ** 2
             got = loop_mod.hessian_form(torus, torus_loop, K, var)
             assert got == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+    def test_curvature_blocks_match_pointwise_tensors(self):
+        # batched node contraction against the per-point geom route
+        sys = systems.random_trig_system(dim=3, seed=41)
+        s = np.arange(16) / 16
+        nodes = np.stack([1.0 + 0.3 * np.cos(TWO_PI * s), 2.0 + 0.3 * np.sin(TWO_PI * s),
+                          0.5 + 0.1 * np.sin(2 * TWO_PI * s)], axis=1)
+        lg = loop_mod._loop_geometry(sys, loop_mod.DiscreteLoop(nodes, 3.0))
+        m1, m2 = lg.curvature_blocks
+        eye = np.eye(3)
+        for i, x in enumerate(nodes):
+            g, xd = sys.metric_at(x), lg.xdot[i]
+            r = np.array([geom.riemann(sys, x, e, xd, xd) @ g for e in eye])
+            d = np.array([geom.nabla_omega(sys, x, e, xd) @ g for e in eye])
+            assert np.allclose(m1[i], r, rtol=0, atol=1e-13 * np.max(np.abs(r)))
+            assert np.allclose(m2[i], d, rtol=0, atol=1e-13 * np.max(np.abs(d)))
 
     def test_gate_enforced(self, torus):
         loop = ellipse_loop((1.0, 1.0), 0.9, 0.5)

@@ -91,6 +91,22 @@ class TestSecOmega:
             operator = float(magcurv.m_omega_k(sys, x, v, w, 0.8) @ g @ w)
             assert abs(direct - operator) < 1e-10 * max(1.0, abs(direct))
 
+    @pytest.mark.parametrize("dim, seed", [(3, 31), (4, 32)])
+    def test_paper_formula_oracle(self, dim, seed):
+        # 2k Sec - sqrt(2k) <(D_w Om)v, w> + 3/4 <w, Om v>^2 + 1/4 |Om w|^2,
+        # assembled here from the geom tensors, not from the operator
+        sys = systems.random_trig_system(dim=dim, seed=seed)
+        for x, v, w in random_frames(sys, 8, seed=seed):
+            g = sys.metric_at(x)
+            om = geom.lorentz_matrix(sys, x)
+            sec = float(geom.riemann(sys, x, w, v, v) @ g @ w)
+            dwv = float(geom.nabla_omega(sys, x, w, v) @ g @ w)
+            a_part = 0.75 * float(w @ g @ (om @ v)) ** 2 + 0.25 * float((om @ w) @ g @ (om @ w))
+            for k in (0.3, 1.4):
+                expect = 2.0 * k * sec - np.sqrt(2.0 * k) * dwv + a_part
+                got = magcurv.sec_omega_k(sys, x, v, w, k)
+                assert abs(got - expect) < 1e-12 * max(1.0, abs(expect))
+
     def test_k_structure(self):
         # Sec_k - 2k Sec + sqrt(2k) <(D_w Om)v, w> is k-independent
         sys = systems.random_trig_system(dim=3, seed=16)
@@ -230,6 +246,21 @@ class TestScans:
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[0].startswith("k,min_sec,min_ric")
         assert len(lines) == 3
+
+    def test_minima_match_brute_force(self):
+        # same samples as the scan: pairs from the seed, directions from seed + 10007
+        sys = systems.random_trig_system(dim=3, seed=33)
+        k_grid = [0.1, 0.5, 2.0]
+        report = magcurv.positivity_scan(sys, k_grid, 12, seed=6)
+        pairs = magcurv.sample_points_directions(sys, 12, 6, pairs=True)
+        dirs = magcurv.sample_points_directions(sys, 12, 6 + 10007)
+        for i, k in enumerate(k_grid):
+            secs = [magcurv.sec_omega_k(sys, x, v, w, k) for x, v, w in pairs]
+            rics = [magcurv.ric_omega_k(sys, x, v, k) for x, v in dirs]
+            assert report.min_sec[i] == pytest.approx(min(secs), rel=1e-12, abs=1e-12)
+            assert report.min_ric[i] == pytest.approx(min(rics), rel=1e-12, abs=1e-12)
+            assert np.array_equal(report.argmin_sec[i], pairs[int(np.argmin(secs))][0])
+            assert np.array_equal(report.argmin_ric[i], dirs[int(np.argmin(rics))][0])
 
     def test_rejects_bad_grid(self, torus):
         with pytest.raises(ValueError):

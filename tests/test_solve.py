@@ -146,7 +146,7 @@ class TestMultiSeed:
         seeds = [flow.PhaseState([0.0, 0.0], [1.0, 0.0]),
                  flow.PhaseState([0.5, 0.5], [0.0, 1.0])]
         records, failures = solve.multi_seed_search(
-            torus, 0.5, seeds, 6.0, compute_index=False, workers=2)
+            torus, 0.5, seeds, 6.0, compute_index=False)
         assert not failures
         assert len(records) == 2
         assert records[0].closure_residual <= records[1].closure_residual
