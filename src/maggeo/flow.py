@@ -44,9 +44,11 @@ def energy(sys, state):
 
 def magnetic_ode_rhs(sys, state):
     """(dx/dt, dv/dt) with (dv/dt)^k = -Gamma^k_ij v^i v^j + Om^k_j v^j."""
-    pg = geom.PointGeometry(sys, state.x)
-    acc = -np.einsum("kij,i,j->k", pg.gamma, state.v, state.v) + pg.omega @ state.v
-    return state.v.copy(), acc
+    return state.v.copy(), _acceleration(geom.PointGeometry(sys, state.x), state.v)
+
+
+def _acceleration(pg, v):
+    return -np.einsum("kij,i,j->k", pg.gamma, v, v) + pg.omega @ v
 
 
 @dataclass
@@ -128,9 +130,9 @@ class Orbit:
 
 def _chart_exit_event(sys):
     radius = sys.safe_radius
+    n = sys.dim
 
     def event(t, y):
-        n = len(y) // 2
         return float(y[:n] @ y[:n]) - radius ** 2
 
     event.terminal = True
@@ -240,6 +242,105 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
                        "n_segments": len(segments), "chart_swaps_total": swaps,
                        "scheme": "DOP853", "_system": sys},
                  segments=segments)
+
+
+@dataclass(frozen=True)
+class Monodromy:
+    """End of a flow integration together with its linearization."""
+
+    y: np.ndarray       # end state (x, v), in the chart of the start state
+    phi: np.ndarray     # (2n, 2n) derivative of the end state by the start state
+    rhs: np.ndarray     # the vector field (dx/dt, dv/dt) at the end state
+    nfev: int
+    chart_swaps: int
+
+
+def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
+    """Integrate the flow together with its monodromy matrix Phi.
+
+    Solves y' = f(y), Phi' = A Phi, Phi(0) = I for y = (x, v) with the
+    scheme of ``integrate`` and no dense output, where A = [[0, I],
+    [J_x, J_v]] is the derivative of f:
+    J_x[k, m] = -d_m Gamma^k_ij v^i v^j + d_m Om^k_j v^j and
+    J_v[k, j] = -2 Gamma^k_ij v^i + Om^k_j.
+    At a chart swap the state goes through the transition and Phi through
+    its tangent map plus the saltation term of the moving swap time, which
+    vanishes when the transition carries the flow of one chart onto the
+    flow of the other.  After an odd number of swaps the end state, Phi and
+    the vector field are mapped back into the start chart.
+    """
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    n = sys.dim
+    m = 2 * n
+    state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
+
+    def rhs(t, y):
+        v = y[n:m]
+        phi = y[m:].reshape(m, m)
+        pg = geom.PointGeometry(sys, y[:n])
+        gam_v = pg.gamma @ v
+        jx = (pg.domega.transpose(0, 2, 1) @ v
+              - np.einsum("kijm,i,j->km", pg.dgamma, v, v))
+        jv = pg.omega - 2.0 * gam_v
+        dphi = np.concatenate([phi[n:], jx @ phi[:n] + jv @ phi[n:]])
+        return np.concatenate([v, _acceleration(pg, v), dphi.ravel()])
+
+    events = None
+    if sys.safe_radius is not None:
+        events = [_chart_exit_event(sys)]
+
+    t_cur = 0.0
+    y_cur = np.concatenate([state0.x, state0.v, np.eye(m).ravel()])
+    nfev = 0
+    swaps = 0
+    while True:
+        sol = solve_ivp(rhs, (t_cur, t_end), y_cur, method="DOP853",
+                        rtol=tolerance, atol=tolerance, events=events)
+        nfev += sol.nfev
+        if sol.status == -1:
+            raise StiffTrajectoryError(f"stiff or singular trajectory: {sol.message}")
+        t_cur = float(sol.t[-1])
+        y_cur = sol.y[:, -1].copy()
+        if sol.status != 1:
+            break
+        if sys.transition is None:
+            raise ChartExitError(f"left chart domain at t={t_cur}")
+        y_old, phi = y_cur[:m], y_cur[m:].reshape(m, m)
+        y_new, tangent = _transition_tangent(sys, y_old)
+        # the swap time moves with the start state; this saltation term is
+        # zero when the transition carries one chart's flow onto the other's
+        f_old, f_new = _vector_field(sys, y_old), _vector_field(sys, y_new)
+        grad = np.concatenate([2.0 * y_old[:n], np.zeros(n)])  # of the exit event
+        jump = np.outer(f_new - tangent @ f_old, grad) / float(grad @ f_old)
+        y_cur = np.concatenate([y_new, ((tangent + jump) @ phi).ravel()])
+        swaps += 1
+    y_end = y_cur[:m]
+    # Phi and f(y_end) as the columns of one matrix, for the map back below
+    cols = np.column_stack([y_cur[m:].reshape(m, m), _vector_field(sys, y_end)])
+    if swaps % 2 == 1:
+        y_end, tangent = _transition_tangent(sys, y_end)
+        cols = tangent @ cols
+    return Monodromy(y=y_end, phi=cols[:, :m], rhs=cols[:, m], nfev=nfev,
+                     chart_swaps=swaps)
+
+
+def _vector_field(sys, y):
+    n = sys.dim
+    return np.concatenate(magnetic_ode_rhs(sys, PhaseState(y[:n], y[n:])))
+
+
+def _transition_tangent(sys, y):
+    """The chart transition of the state y = (x, v), and its tangent map
+    by central differences."""
+    n = sys.dim
+
+    def transition(z):
+        return np.concatenate(sys.transition(z[:n], z[n:]))
+
+    return transition(y), geom._fd_jacobian(transition, y, 1e-6 * np.maximum(1.0, np.abs(y)))
 
 
 # ---------------------------------------------------------------------------

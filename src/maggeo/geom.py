@@ -198,8 +198,9 @@ def _field(method):
 class PointGeometry:
     """The fields of ``sys`` at the point ``x`` (``g``, ``ginv``, ``dg``,
     ``d2g``, ``sigma``, ``dsigma``) and the tensors built from them
-    (``gamma``, ``dgamma``, ``riemann``, ``omega``, ``nabla_omega``), each
-    computed at most once, on first use; indices as in the module docstring."""
+    (``gamma``, ``dgamma``, ``riemann``, ``omega``, ``domega``,
+    ``nabla_omega``), each computed at most once, on first use; indices as
+    in the module docstring."""
 
     def __init__(self, sys, x):
         self.sys = sys
@@ -241,23 +242,29 @@ class PointGeometry:
         return np.einsum("kl,lijm->kijm", self.ginv,
                          0.5 * dterm - np.einsum("lbm,bij->lijm", self.dg, self.gamma))
 
+    @cached_property
+    def domega(self):
+        """domega[k, j, i] = d_i Om[k, j], the coordinate derivative of Om."""
+        # d_i Om = g^{-1} (d_i sigma - (d_i g) Om), from d_i (g Om) = d_i sigma
+        return np.einsum("ka,aji->kji", self.ginv,
+                         self.dsigma - np.einsum("abi,bj->aji", self.dg, self.omega))
+
 
 # ---------------------------------------------------------------------------
 # finite differences
 
 
 def _fd_jacobian(fn, x, h):
-    """Central-difference coordinate derivatives, output shape fn(x).shape + (n,)."""
+    """Central-difference coordinate derivatives, output shape fn(x).shape + (n,);
+    2n evaluations of ``fn``."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    base = np.asarray(fn(x), dtype=float)
-    out = np.empty(base.shape + (n,))
-    for k in range(n):
+    cols = []
+    for k in range(x.size):
         xp = x.copy(); xp[k] += h[k]
         xm = x.copy(); xm[k] -= h[k]
-        out[..., k] = (np.asarray(fn(xp), dtype=float)
-                       - np.asarray(fn(xm), dtype=float)) / (2.0 * h[k])
-    return out
+        cols.append((np.asarray(fn(xp), dtype=float)
+                     - np.asarray(fn(xm), dtype=float)) / (2.0 * h[k]))
+    return np.stack(cols, axis=-1)
 
 
 def _fd_hessian(fn, x, h):
@@ -352,10 +359,7 @@ def nabla_omega_tensor(sys, x):
     """Covariant derivative of Omega: dOm[k, j, i] = (nabla_{e_i} Omega)^k_j."""
     pg = PointGeometry.of(sys, x)
     om, gam = pg.omega, pg.gamma
-    # d_i Om = g^{-1} (d_i sigma - (d_i g) Om), from d_i (g Om) = d_i sigma
-    dom = np.einsum("ka,aji->kji", pg.ginv,
-                    pg.dsigma - np.einsum("abi,bj->aji", pg.dg, om))
-    return (dom + np.einsum("kil,lj->kji", gam, om)
+    return (pg.domega + np.einsum("kil,lj->kji", gam, om)
             - np.einsum("lij,kl->kji", gam, om))
 
 

@@ -153,7 +153,6 @@ class _LoopGeometry:
         self.xddot = spectral_derivative(self.xdot)
         self.points = [geom.PointGeometry(sys, xi) for xi in loop.nodes]
         self.g = np.array([p.g for p in self.points])
-        self.ginv = np.array([p.ginv for p in self.points])
         self.gamma = np.array([p.gamma for p in self.points])
         self.omega = np.array([p.omega for p in self.points])
         self.speed = np.sqrt(np.einsum("ni,nij,nj->n", self.xdot, self.g, self.xdot))

@@ -5,7 +5,11 @@ The shooting system removes the time-translation degeneracy with a
 phase condition <x0 - x_ref, v_ref>_g = 0 and drops the velocity
 component along the orbit (energy conservation makes it redundant), so
 the Newton system is square; steps are solved by least squares, which
-also copes with the orbit-cylinder rank deficiency of families.
+also copes with the orbit-cylinder rank deficiency of families.  The
+Newton Jacobian is exact: each residual evaluation integrates the flow
+together with its monodromy matrix (the variational equations; Hairer,
+Norsett & Wanner, Solving ODEs I), so one Newton step costs one
+integration when its full step is accepted.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import geom, loop as loop_mod, magcurv
 from .errors import SingularJacobianError
-from .flow import PhaseState, integrate
+from .flow import PhaseState, integrate, integrate_variational
 from .io import dump_csv, dump_json
 
 # certification gates
@@ -109,46 +113,69 @@ def _unit_velocity(g, v):
     return v / float(np.sqrt(max(float(v @ g @ v), 0.0)))
 
 
-def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
-    """Periodicity residual of the shooting unknowns u = (x0, d, T)."""
+def _start(sys, k, v_ref, n, u):
+    """Start state (x0, v0) of the shooting unknowns u = (x0, d, T), with
+    the metric at x0 and the g-orthonormal frame normal to the seed direction."""
     x0 = u[:n]
-    d = u[n:2 * n - 1]
-    T = u[-1]
-    if T <= 0:
-        return None, None
     pg = geom.PointGeometry(sys, x0)
     g = pg.g
     vdir = _unit_velocity(g, v_ref)
-    frame = geom.orthonormal_completion(sys, pg, vdir)
-    raw = vdir + frame[:, 1:] @ d
-    v0 = np.sqrt(2.0 * k) * _unit_velocity(g, raw)
-    orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=tol, samples=9)
-    xe, ve = orbit.states[-1, :n].copy(), orbit.states[-1, n:].copy()
-    if orbit.meta["chart_swaps_total"] % 2 == 1 and sys.transition is not None:
-        xe, ve = sys.transition(xe, ve)
-    if winding_target is None:
-        dx = sys.wrap_diff(xe - x0)
-    else:
-        shift = np.zeros(n)
-        if sys.lattice is not None:
-            for i, period in enumerate(sys.lattice):
-                if period:
-                    shift[i] = winding_target[i] * period
-        dx = xe - x0 - shift
-    dv = ve - v0
-    frame_perp = frame[:, 1:]
-    dv_perp = frame_perp.T @ (g @ dv)
-    phase = float((x0 - x_ref) @ g @ v_ref)
-    return np.concatenate([dx, dv_perp, [phase]]), orbit
+    frame_perp = geom.orthonormal_completion(sys, pg, vdir)[:, 1:]
+    v0 = np.sqrt(2.0 * k) * _unit_velocity(g, vdir + frame_perp @ u[n:2 * n - 1])
+    return x0, v0, g, frame_perp
+
+
+def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
+    """Periodicity residual F of the shooting unknowns u = (x0, d, T) and
+    its Jacobian, from one integration of the flow with its monodromy
+    matrix Phi.
+
+    With S(u) = (x0, v0) the start state, y_e = phi_T(S(u)) the end state
+    and f the vector field, dF/du = F_u + F_y (Phi S_u + f(y_e) e_T^T).
+    Neither S nor the closing map F(u, y_e) integrates anything, so S_u and
+    F_u are central differences; F_y is exact.
+    """
+    T = u[-1]
+    if T <= 0:
+        return None, None
+    shift = np.zeros(n)
+    if winding_target is not None and sys.lattice is not None:
+        for i, period in enumerate(sys.lattice):
+            if period:
+                shift[i] = winding_target[i] * period
+
+    def start_and_close(uu, ye):
+        """(S(uu), F(uu, ye)) stacked into one vector."""
+        x0, v0, g, frame_perp = _start(sys, k, v_ref, n, uu)
+        dx = ye[:n] - x0
+        dx = sys.wrap_diff(dx) if winding_target is None else dx - shift
+        dv_perp = frame_perp.T @ (g @ (ye[n:] - v0))
+        phase = float((x0 - x_ref) @ g @ v_ref)
+        return np.concatenate([x0, v0, dx, dv_perp, [phase]])
+
+    x0, v0, g, frame_perp = _start(sys, k, v_ref, n, u)
+    mono = integrate_variational(sys, PhaseState(x0, v0), T, tolerance=tol)
+    ye = mono.y
+    r = start_and_close(u, ye)[2 * n:]
+    d_u = geom._fd_jacobian(lambda uu: start_and_close(uu, ye), u,
+                            1e-6 * np.maximum(1.0, np.abs(u)))
+    dye = mono.phi @ d_u[:2 * n]
+    dye[:, -1] += mono.rhs
+    f_y = np.zeros((2 * n, 2 * n))
+    f_y[:n, :n] = np.eye(n)
+    f_y[n:2 * n - 1, n:] = frame_perp.T @ g
+    return r, d_u[2 * n:] + f_y @ dye
 
 
 def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1e-10,
           n_nodes=512, mode_count=32, compute_index=True, winding_target=None):
     """Newton shooting for a closed orbit with energy k.
 
-    Finite-difference Jacobian, least-squares Newton steps, backtracking
-    on the residual norm.  Returns a certified ``OrbitRecord`` or a
-    ``SearchFailure`` report.
+    Each residual evaluation integrates the flow with its monodromy matrix
+    once and returns the exact Newton Jacobian with the residual, so a
+    Newton step whose full step is accepted costs one integration.  Steps
+    are least-squares solves, with backtracking on the residual norm.
+    Returns a certified ``OrbitRecord`` or a ``SearchFailure`` report.
     """
     n = sys.dim
     seed_state = seed_state if isinstance(seed_state, PhaseState) else PhaseState(*seed_state)
@@ -160,13 +187,13 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
         raise ValueError("seed velocity is not on the energy level |v| = sqrt(2k)")
     v_ref = seed_state.v.copy()
     u = np.concatenate([x_ref, np.zeros(n - 1), [float(T_guess)]])
-    fd_tol = max(tol, 1e-12)
+    shoot_tol = max(tol, 1e-12)
 
     def res_fn(uu):
-        return _residual(sys, k, x_ref, v_ref, n, uu, fd_tol,
+        return _residual(sys, k, x_ref, v_ref, n, uu, shoot_tol,
                          winding_target=winding_target)
 
-    r, _ = res_fn(u)
+    r, jac = res_fn(u)
     if r is None:
         raise ValueError("T_guess must be positive")
     history = [float(u[-1])]
@@ -174,17 +201,6 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
     for it in range(max_iter):
         if res_norm < residual_target:
             break
-        jac = np.empty((2 * n, 2 * n))
-        for j in range(2 * n):
-            h = 1e-7 * max(1.0, abs(u[j]))
-            up = u.copy(); up[j] += h
-            um = u.copy(); um[j] -= h
-            rp, _ = res_fn(up)
-            rm, _ = res_fn(um)
-            if rp is None or rm is None:
-                rp, _ = res_fn(up)
-                rm = r
-            jac[:, j] = (rp - rm) / (2.0 * h)
         # a generous rcond keeps noise-level singular directions (orbit
         # families, lattice symmetries) out of the step
         step, *_ = np.linalg.lstsq(jac, -r, rcond=1e-6)
@@ -198,9 +214,10 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
             u_try = u + damp * step
             if u_try[-1] <= T_FLOOR:
                 continue
-            r_try, _ = res_fn(u_try)
+            r_try, jac_try = res_fn(u_try)
             if r_try is not None and np.linalg.norm(r_try) < res_norm:
-                u, r, res_norm = u_try, r_try, float(np.linalg.norm(r_try))
+                u, r, jac = u_try, r_try, jac_try
+                res_norm = float(np.linalg.norm(r_try))
                 improved = True
                 break
         history.append(float(u[-1]))
@@ -219,14 +236,8 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
 
 def _build_record(sys, k, x_ref, v_ref, u, tol, n_nodes, mode_count,
                   compute_index, method):
-    n = sys.dim
-    x0 = u[:n]
-    d = u[n:2 * n - 1]
+    x0, v0, _, _ = _start(sys, k, v_ref, sys.dim, u)
     T = float(u[-1])
-    pg = geom.PointGeometry(sys, x0)
-    vdir = _unit_velocity(pg.g, v_ref)
-    frame = geom.orthonormal_completion(sys, pg, vdir)
-    v0 = np.sqrt(2.0 * k) * _unit_velocity(pg.g, vdir + frame[:, 1:] @ d)
     orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=min(tol, 1e-12),
                       samples=n_nodes + 1)
     lp = loop_mod.loop_from_orbit(orbit, n_nodes)
@@ -359,11 +370,8 @@ def family_to_csv(path, family):
 
 
 def _descent_state(sys, loop, k):
-    force, c_tau, lg = loop_mod._force_residual(sys, loop, k)
-    # vector representative of the form (raise the covector with g)
-    rep = np.einsum("nij,nj->ni", lg.ginv, np.einsum("nij,nj->ni", lg.g, force))
-    norm = loop_mod.eta_norm(sys, loop, k)
-    return rep, c_tau, norm
+    force, c_tau, _ = loop_mod._force_residual(sys, loop, k)
+    return force, c_tau, loop_mod.eta_norm(sys, loop, k)
 
 
 def _h1_precondition(field):
@@ -434,6 +442,9 @@ def _lm_search(sys, k, loop0, cfg):
 
     if np.any(loop0.winding):
         raise ValueError("descent search supports contractible seed loops only")
+    gate = cfg["gate"] if cfg["gate"] is not None else loop_mod.eta_gate(loop0)
+    if loop_mod.eta_norm(sys, loop0, k) < gate:
+        return _polish_loop(sys, k, loop0, cfg) if cfg["polish"] else loop0
     n = sys.dim
     n_nodes = loop0.n_nodes
     trace = [float(loop0.period)]
@@ -444,7 +455,6 @@ def _lm_search(sys, k, loop0, cfg):
     T = float(np.exp(res.x[-1]))
     nodes = res.x[:-1].reshape(n_nodes, n)
     period_trace = trace[:: max(1, len(trace) // 64)]
-    gate = cfg["gate"] if cfg["gate"] is not None else loop_mod.eta_gate(loop0)
 
     spread = float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
     spread0 = float(np.max(np.linalg.norm(loop0.nodes - loop0.nodes.mean(axis=0), axis=1)))

@@ -67,6 +67,16 @@ class TestIntegrate:
         assert orbit.meta["chart_swaps_total"] == 2
         assert orbit.closure_residual < 1e-8
 
+    def test_variational_end_state_matches_integrate(self, sphere):
+        # the radial great circle is past the far pole, in the other chart
+        st = flow.PhaseState([0.0, 0.0], [0.5, 0.0])
+        mono = flow.integrate_variational(sphere, st, 3.0, tolerance=1e-12)
+        orbit = flow.integrate(sphere, st, 3.0, tolerance=1e-12, samples=3)
+        assert mono.chart_swaps == orbit.meta["chart_swaps_total"] == 1
+        end = orbit.states[-1]
+        xe, ve = sphere.transition(end[:2], end[2:])
+        assert np.max(np.abs(mono.y - np.concatenate([xe, ve]))) < 1e-9
+
     def test_chart_exit_without_transition(self):
         bare = geom.ChartedSystem(
             dim=2, metric=systems.round_sphere().metric,

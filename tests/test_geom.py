@@ -147,6 +147,17 @@ class TestLorentz:
         assert abs(a + b) < 1e-10
 
 
+    def test_domega_matches_central_difference(self):
+        sys = systems.random_trig_system(dim=3, seed=4)
+        x = np.array([0.4, -1.1, 2.3])
+        h = 1e-5
+        fd = np.stack([(geom.lorentz_matrix(sys, x + h * e)
+                        - geom.lorentz_matrix(sys, x - h * e)) / (2.0 * h)
+                       for e in np.eye(3)], axis=-1)
+        dom = geom.PointGeometry(sys, x).domega
+        assert np.max(np.abs(dom - fd)) < 1e-8 * np.max(np.abs(dom))
+
+
 class TestNablaOmega:
     def test_constant_field_flat_connection(self, torus):
         rng = np.random.default_rng(6)

@@ -72,3 +72,15 @@ def test_point_geometry_caches(counted):
     assert dict(counts) == ALL
     assert np.array_equal(pg.riemann, geom.riemann_tensor(sys, pg.x))
     assert np.array_equal(pg.nabla_omega, geom.nabla_omega_tensor(sys, pg.x))
+
+
+def test_fd_first_derivative_costs_2n_evaluations():
+    calls = []
+
+    def metric(x):
+        calls.append(x)
+        return np.diag([1.0 + 0.1 * np.sin(x[0]), 1.0 + 0.1 * np.cos(x[1])])
+
+    sys = geom.ChartedSystem(dim=2, metric=metric, two_form=lambda x: np.zeros((2, 2)))
+    _ = geom.PointGeometry(sys, np.array([0.3, 0.4])).dg
+    assert len(calls) == 4

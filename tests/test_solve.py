@@ -38,6 +38,73 @@ class TestShoot:
             solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [2.0, 0.0]), 6.0)
 
 
+def _residual_at(sys, k, x_ref, v_ref, u, winding_target):
+    return solve._residual(sys, k, x_ref, v_ref, sys.dim, u, 1e-12,
+                           winding_target=winding_target)
+
+
+def _jacobian_cases():
+    sine = systems.sine_field_torus()
+    x_s = np.array([np.pi / 2.0, 1.0])
+    v_s = np.array([1.0, 0.0]) * np.sqrt(0.2)
+    sphere = systems.round_sphere(b=1.0)
+    x_p = np.array([3.8, 0.0])     # next to the chart swap at |x| = 4
+    v_p = np.array([1.0, 0.2]) / sphere.norm(x_p, [1.0, 0.2])
+    trig = systems.random_trig_system(dim=3)
+    x_t = np.array([0.3, 0.2, 0.1])
+    v_t = np.array([1.0, 0.0, 0.0]) / trig.norm(x_t, [1.0, 0.0, 0.0])
+    return {
+        "sine_field_torus": (sine, 0.1, x_s, v_s, [0.1, TWO_PI / 1.2], (0, 0)),
+        "round_sphere_swap": (sphere, 0.5, x_p, v_p, [0.05, 3.0], None),
+        "random_trig_3d": (trig, 0.5, x_t, v_t, [0.05, -0.02, 2.0], None),
+    }
+
+
+class TestShootJacobian:
+    @pytest.mark.parametrize("name", ["sine_field_torus", "round_sphere_swap", "random_trig_3d"])
+    def test_monodromy_jacobian_matches_central_differences(self, name):
+        sys, k, x_ref, v_ref, rest, wt = _jacobian_cases()[name]
+        u = np.concatenate([x_ref, rest])
+        r, jac = _residual_at(sys, k, x_ref, v_ref, u, wt)
+        fd = np.empty_like(jac)
+        for j in range(u.size):
+            h = 1e-5 * max(1.0, abs(u[j]))
+            up = u.copy(); up[j] += h
+            um = u.copy(); um[j] -= h
+            fd[:, j] = (_residual_at(sys, k, x_ref, v_ref, up, wt)[0]
+                        - _residual_at(sys, k, x_ref, v_ref, um, wt)[0]) / (2.0 * h)
+        assert np.linalg.norm(jac - fd) < 1e-6 * np.linalg.norm(fd)
+        if name == "round_sphere_swap":
+            x0, v0, _, _ = solve._start(sys, k, v_ref, sys.dim, u)
+            mono = flow.integrate_variational(sys, flow.PhaseState(x0, v0), u[-1])
+            assert mono.chart_swaps >= 1
+
+    def test_accepted_full_step_costs_one_integration(self, torus, monkeypatch):
+        integrations = []
+        norms = []
+        variational, residual = solve.integrate_variational, solve._residual
+
+        def counted_variational(*args, **kwargs):
+            integrations.append("variational")
+            return variational(*args, **kwargs)
+
+        def counted_residual(*args, **kwargs):
+            r, jac = residual(*args, **kwargs)
+            norms.append(float(np.linalg.norm(r)))
+            return r, jac
+
+        monkeypatch.setattr(solve, "integrate_variational", counted_variational)
+        monkeypatch.setattr(solve, "integrate", lambda *a, **kw: integrations.append("plain"))
+        monkeypatch.setattr(solve, "_residual", counted_residual)
+        out = solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
+                          winding_target=(0, 0), max_iter=1, compute_index=False)
+        assert isinstance(out, solve.SearchFailure) and out.reason == "max_iterations"
+        # one evaluation at the seed, one for the step: its first trial is
+        # the full step, and it was accepted
+        assert len(norms) == 2 and norms[1] < norms[0]
+        assert integrations == ["variational", "variational"]
+
+
 class TestGradientSearch:
     def test_converges_from_half_radius_circle(self, torus):
         seed = solve.orbit_seed_loop(torus, 0.5, (1.0, 1.0), n_nodes=48,
@@ -51,6 +118,17 @@ class TestGradientSearch:
         out = solve.gradient_search(torus, 0.5, torus_record.loop,
                                     schedule={"polish": False})
         assert isinstance(out, loop_mod.DiscreteLoop)
+
+    def test_seed_at_gate_skips_lm(self, torus, torus_record, monkeypatch):
+        import scipy.optimize
+
+        def no_lm(*args, **kwargs):
+            raise AssertionError("LM ran on a seed that already passes the gate")
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", no_lm)
+        out = solve.gradient_search(torus, 0.5, torus_record.loop,
+                                    schedule={"polish": False})
+        assert out is torus_record.loop
 
     def test_no_field_action_descent_collapses(self):
         sys = systems.flat_torus(b=0.0)
