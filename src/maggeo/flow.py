@@ -3,8 +3,7 @@
 The flow integrates the second-order equation  D(gamma')/dt = Omega(gamma')
 as a first-order system in phase space; the kinetic energy |v|_g^2 / 2 is
 a conserved quantity and its sampled drift is reported as an integrator
-diagnostic rather than being projected away (an optional projection mode
-rescales the speed for long searches).
+diagnostic rather than being projected away.
 
 Transport solves  DV/dt = Omega_tilde(V)  along a stored orbit, where
 Omega_tilde mixes the Lorentz operator through the g-orthogonal splitting
@@ -65,7 +64,8 @@ class Orbit:
 
     Positions in ``states`` are unwrapped (continuous lift); ``wrapped_x``
     carries the lattice-reduced copy.  ``chart_swaps`` counts transitions
-    applied before each sample for two-chart systems.
+    applied before each sample for two-chart systems; ``energies`` holds the
+    kinetic energy of each sample.
     """
 
     t: np.ndarray
@@ -77,6 +77,7 @@ class Orbit:
     energy_drift: float
     winding: np.ndarray
     chart_swaps: np.ndarray
+    energies: np.ndarray
     meta: dict = field(default_factory=dict)
     segments: list = field(default_factory=list, repr=False)
 
@@ -102,13 +103,8 @@ class Orbit:
         n = self.dim
         header = (["t"] + [f"x{i+1}" for i in range(n)]
                   + [f"v{i+1}" for i in range(n)] + ["E"])
-        rows = []
-        sys = self.meta.get("_system")
-        for i, ti in enumerate(self.t):
-            x = self.states[i, :n]
-            v = self.states[i, n:]
-            e = 0.5 * float(v @ sys.metric_at(x) @ v) if sys is not None else float("nan")
-            rows.append([float(ti)] + [float(c) for c in x] + [float(c) for c in v] + [e])
+        rows = [[float(ti)] + [float(c) for c in st] + [float(e)]
+                for ti, st, e in zip(self.t, self.states, self.energies)]
         dump_csv(path, header, rows)
 
     def to_json(self, path=None):
@@ -121,7 +117,7 @@ class Orbit:
             "energy_drift": float(self.energy_drift),
             "winding": [int(w) for w in self.winding],
             "n_samples": int(len(self.t)),
-            "meta": {k: v for k, v in self.meta.items() if not k.startswith("_")},
+            "meta": dict(self.meta),
         }
         if path:
             dump_json(path, payload)
@@ -140,8 +136,7 @@ def _chart_exit_event(sys):
     return event
 
 
-def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_SAMPLES,
-              projection=False, projection_chunks=64):
+def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_SAMPLES):
     """Integrate the magnetic flow with an adaptive high-order scheme.
 
     Uses an embedded Runge-Kutta pair of order 8(5,3); lattice wrapping
@@ -166,19 +161,13 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
     if sys.safe_radius is not None:
         events = [_chart_exit_event(sys)]
 
-    chunk_ends = [t_end]
-    if projection:
-        chunk_ends = list(np.linspace(0.0, t_end, projection_chunks + 1)[1:])
-
     segments = []
     swaps = 0
     t_cur = 0.0
     y_cur = np.concatenate([state0.x, state0.v])
     nfev = 0
-    target_iter = iter(chunk_ends)
-    t_target = next(target_iter)
     while True:
-        sol = solve_ivp(rhs, (t_cur, t_target), y_cur, method="DOP853",
+        sol = solve_ivp(rhs, (t_cur, t_end), y_cur, method="DOP853",
                         rtol=tolerance, atol=tolerance, dense_output=True,
                         events=events)
         nfev += sol.nfev
@@ -188,22 +177,13 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
             segments.append(_Segment(sol.t[0], sol.t[-1], sol.sol, swaps))
         t_cur = float(sol.t[-1])
         y_cur = sol.y[:, -1].copy()
-        if sol.status == 1:  # chart exit
-            if sys.transition is None:
-                raise ChartExitError(f"left chart domain at t={t_cur}")
-            xn, vn = sys.transition(y_cur[:n], y_cur[n:])
-            y_cur = np.concatenate([xn, vn])
-            swaps += 1
-            continue
-        if t_cur >= t_end - 1e-14:
+        if sol.status != 1:  # no chart exit: t_end reached
             break
-        if projection and abs(t_cur - t_target) < 1e-12:
-            speed = float(np.sqrt(y_cur[n:] @ sys.metric_at(y_cur[:n]) @ y_cur[n:]))
-            y_cur[n:] *= np.sqrt(2.0 * e0) / speed
-            try:
-                t_target = next(target_iter)
-            except StopIteration:
-                break
+        if sys.transition is None:
+            raise ChartExitError(f"left chart domain at t={t_cur}")
+        xn, vn = sys.transition(y_cur[:n], y_cur[n:])
+        y_cur = np.concatenate([xn, vn])
+        swaps += 1
 
     ts = np.linspace(0.0, t_end, samples)
     states = np.empty((samples, 2 * n))
@@ -218,8 +198,8 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
 
     wrapped = np.array([sys.wrap(states[i, :n]) for i in range(samples)])
 
-    energies = np.array([0.5 * states[i, n:] @ sys.metric_at(states[i, :n]) @ states[i, n:]
-                         for i in range(samples)])
+    g = geom.PointGeometry(sys, states[:, :n]).g
+    energies = 0.5 * np.einsum("mi,mij,mj->m", states[:, n:], g, states[:, n:])
     drift = float(np.max(np.abs(energies - e0)))
 
     # closure against t = 0, after lattice reduction / chart canonicalization
@@ -237,10 +217,10 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
 
     return Orbit(t=ts, states=states, wrapped_x=wrapped, period=float(t_end),
                  k=float(e0), closure_residual=closure, energy_drift=drift,
-                 winding=winding, chart_swaps=swap_counts,
+                 winding=winding, chart_swaps=swap_counts, energies=energies,
                  meta={"tolerance": tolerance, "nfev": nfev,
                        "n_segments": len(segments), "chart_swaps_total": swaps,
-                       "scheme": "DOP853", "_system": sys},
+                       "scheme": "DOP853"},
                  segments=segments)
 
 
@@ -354,22 +334,21 @@ def omega_tilde(sys, state, V):
 
 
 def _omega_tilde(pg, v, V):
-    g = pg.g
-    v2 = float(v @ g @ v)
-    if v2 <= 0.0:
+    """Omega_tilde(V) at the point or stack of ``pg``; v and V of shape (..., n)."""
+    v2 = np.einsum("...i,...ij,...j->...", v, pg.g, v)
+    if np.any(v2 <= 0.0):
         raise ValueError("zero velocity: projections undefined")
-    om = pg.omega
     V = np.asarray(V, dtype=float)
 
     def par(w):
-        return (float(w @ g @ v) / v2) * v
+        return (np.einsum("...i,...ij,...j->...", w, pg.g, v) / v2)[..., None] * v
+
+    def om_of(w):
+        return np.einsum("...kj,...j->...k", pg.omega, w)
 
     v1 = par(V)
-    v2p = V - v1
-    ov1 = om @ v1
-    ov = om @ V
-    ov2 = om @ v2p
-    return ov1 + par(ov) + 0.5 * (ov2 - par(ov2))
+    ov2 = om_of(V - v1)
+    return om_of(v1) + par(om_of(V)) + 0.5 * (ov2 - par(ov2))
 
 
 @dataclass

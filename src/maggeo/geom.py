@@ -21,13 +21,16 @@ nabla_omega       ``dOm[k, j, i] = (nabla_{e_i} Omega)^k_j``
 Sign convention: the sectional curvature of the round unit sphere is +1,
 i.e. ``<R(u,v)v, u>_g = 1`` for orthonormal ``u, v``.
 
-``PointGeometry(sys, x)`` evaluates and checks each field (g, sigma and
-their derivatives) at most once per point, on first use: g is checked
-symmetric, and the one Cholesky factorisation that gives g^{-1} is the
-positive-definiteness check.  It caches the tensors built from the fields
-the same way.  Every function below takes a point or its
-``PointGeometry`` as ``x``; callers that need several quantities at one
-point share one.  ``ChartedSystem`` values are immutable.
+``PointGeometry(sys, x)`` is the geometry at a point ``x`` of shape ``(n,)``
+or at a stack of points of shape ``(..., n)``, whose arrays carry the same
+leading axes.  Each field (g, sigma and their derivatives) is evaluated and
+checked at most once per point, on first use, through ``ChartedSystem.*_at``;
+one batched Cholesky factorisation gives g^{-1} and is the
+positive-definiteness check of every point.  The tensors built from the
+fields are cached the same way, each computed once for the whole stack, and
+``pg[i]`` is point ``i`` with everything computed so far sliced.  The tensor
+functions below take a point or a ``PointGeometry`` as ``x``, the functions
+of vectors one point.  ``ChartedSystem`` values are immutable.
 """
 
 from __future__ import annotations
@@ -191,16 +194,24 @@ class ChartedSystem:
 
 
 def _field(method):
-    """A field of the system, evaluated (and checked) by ``sys.<method>``."""
-    return cached_property(lambda pg: getattr(pg.sys, method)(pg.x))
+    """A field of the system, evaluated (and checked) by ``sys.<method>``
+    point by point; a single point is passed straight through."""
+    def evaluate(pg):
+        at, x = getattr(pg.sys, method), pg.x
+        if x.ndim == 1:
+            return at(x)
+        values = np.stack([at(xi) for xi in x.reshape(-1, x.shape[-1])])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+    return cached_property(evaluate)
 
 
 class PointGeometry:
-    """The fields of ``sys`` at the point ``x`` (``g``, ``ginv``, ``dg``,
-    ``d2g``, ``sigma``, ``dsigma``) and the tensors built from them
+    """The fields of ``sys`` at the point or stack of points ``x`` (``g``,
+    ``ginv``, ``dg``, ``d2g``, ``sigma``, ``dsigma``, and the primitive
+    ``theta`` of systems that have one) and the tensors built from them
     (``gamma``, ``dgamma``, ``riemann``, ``omega``, ``domega``,
     ``nabla_omega``), each computed at most once, on first use; indices as
-    in the module docstring."""
+    in the module docstring, after the leading axes of ``x``."""
 
     def __init__(self, sys, x):
         self.sys = sys
@@ -211,11 +222,18 @@ class PointGeometry:
         """``x`` if it already is a PointGeometry, else the geometry of sys at x."""
         return x if isinstance(x, cls) else cls(sys, x)
 
+    def __getitem__(self, i):
+        """The geometry of point (or sub-stack) ``i``, sharing what is computed."""
+        part = PointGeometry(self.sys, self.x[i])
+        part.__dict__.update({k: v[i] for k, v in vars(self).items() if k != "sys"})
+        return part
+
     g = _field("metric_at")
     dg = _field("dmetric_at")
     d2g = _field("d2metric_at")
     sigma = _field("two_form_at")
     dsigma = _field("dtwo_form_at")
+    theta = _field("primitive_at")
     gamma = cached_property(lambda pg: christoffel(pg.sys, pg))
     riemann = cached_property(lambda pg: riemann_tensor(pg.sys, pg))
     omega = cached_property(lambda pg: lorentz_matrix(pg.sys, pg))
@@ -226,28 +244,30 @@ class PointGeometry:
         try:
             cho = np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
-            raise DegenerateMetricError(f"degenerate metric at x={self.x!r}") from None
-        inv_l = np.linalg.solve(cho, np.eye(self.sys.dim))
-        return inv_l.T @ inv_l
+            lowest = np.linalg.eigvalsh(self.g).reshape(-1, self.sys.dim)[:, 0]
+            bad = self.x.reshape(-1, self.sys.dim)[np.argmax(~(lowest > 0.0))]  # first failure
+            raise DegenerateMetricError(f"degenerate metric at x={bad!r}") from None
+        inv_l = np.linalg.inv(cho)
+        return np.swapaxes(inv_l, -1, -2) @ inv_l
 
     @cached_property
     def dgamma(self):
         """dgamma[k, i, j, m] = d_m Gamma^k_ij."""
         d2g = self.d2g
-        dterm = (np.einsum("jlim->lijm", d2g) + np.einsum("iljm->lijm", d2g)
-                 - np.einsum("ijlm->lijm", d2g))
+        dterm = (np.einsum("...jlim->...lijm", d2g) + np.einsum("...iljm->...lijm", d2g)
+                 - np.einsum("...ijlm->...lijm", d2g))
         # Gamma = (1/2) g^{-1} T with T built from dg as in christoffel, and
         # d_m g^{-1} = -g^{-1} (d_m g) g^{-1}, so
         # d_m Gamma = g^{-1} ((1/2) d_m T - (d_m g) Gamma)
-        return np.einsum("kl,lijm->kijm", self.ginv,
-                         0.5 * dterm - np.einsum("lbm,bij->lijm", self.dg, self.gamma))
+        return np.einsum("...kl,...lijm->...kijm", self.ginv,
+                         0.5 * dterm - np.einsum("...lbm,...bij->...lijm", self.dg, self.gamma))
 
     @cached_property
     def domega(self):
         """domega[k, j, i] = d_i Om[k, j], the coordinate derivative of Om."""
         # d_i Om = g^{-1} (d_i sigma - (d_i g) Om), from d_i (g Om) = d_i sigma
-        return np.einsum("ka,aji->kji", self.ginv,
-                         self.dsigma - np.einsum("abi,bj->aji", self.dg, self.omega))
+        return np.einsum("...ka,...aji->...kji", self.ginv,
+                         self.dsigma - np.einsum("...abi,...bj->...aji", self.dg, self.omega))
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +321,18 @@ def christoffel(sys, x):
     pg = PointGeometry.of(sys, x)
     ginv, dg = pg.ginv, pg.dg
     # dg[j, l, i] = d_i g_jl
-    term = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
-            - np.einsum("ijl->lij", dg))
-    return 0.5 * np.einsum("kl,lij->kij", ginv, term)
+    term = (np.einsum("...jli->...lij", dg) + np.einsum("...ilj->...lij", dg)
+            - np.einsum("...ijl->...lij", dg))
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
 
 
 def riemann_tensor(sys, x):
     """Curvature R[l, k, i, j] with (R(u,v)w)^l = R[l,k,i,j] u^i v^j w^k."""
     pg = PointGeometry.of(sys, x)
     gam, dgam = pg.gamma, pg.dgamma
-    return (np.einsum("ljki->lkij", dgam) - np.einsum("likj->lkij", dgam)
-            + np.einsum("lim,mjk->lkij", gam, gam)
-            - np.einsum("ljm,mik->lkij", gam, gam))
+    return (np.einsum("...ljki->...lkij", dgam) - np.einsum("...likj->...lkij", dgam)
+            + np.einsum("...lim,...mjk->...lkij", gam, gam)
+            - np.einsum("...ljm,...mik->...lkij", gam, gam))
 
 
 def riemann(sys, x, u, v, w):
@@ -359,8 +379,8 @@ def nabla_omega_tensor(sys, x):
     """Covariant derivative of Omega: dOm[k, j, i] = (nabla_{e_i} Omega)^k_j."""
     pg = PointGeometry.of(sys, x)
     om, gam = pg.omega, pg.gamma
-    return (pg.domega + np.einsum("kil,lj->kji", gam, om)
-            - np.einsum("lij,kl->kji", gam, om))
+    return (pg.domega + np.einsum("...kil,...lj->...kji", gam, om)
+            - np.einsum("...lij,...kl->...kji", gam, om))
 
 
 def nabla_omega(sys, x, w, v):

@@ -151,10 +151,8 @@ class _LoopGeometry:
         xper = loop.nodes - np.outer(loop.s, drift)
         self.xdot = spectral_derivative(xper) + drift
         self.xddot = spectral_derivative(self.xdot)
-        self.points = [geom.PointGeometry(sys, xi) for xi in loop.nodes]
-        self.g = np.array([p.g for p in self.points])
-        self.gamma = np.array([p.gamma for p in self.points])
-        self.omega = np.array([p.omega for p in self.points])
+        pg = self.geometry = geom.PointGeometry(sys, loop.nodes)
+        self.g, self.gamma, self.omega = pg.g, pg.gamma, pg.omega
         self.speed = np.sqrt(np.einsum("ni,nij,nj->n", self.xdot, self.g, self.xdot))
         with np.errstate(invalid="ignore", divide="ignore"):
             self.unit = np.where(self.speed[:, None] > 0.0,
@@ -171,10 +169,9 @@ class _LoopGeometry:
     def curvature_blocks(self):
         """Per-node matrices M1[a,b] = <R(e_a, xdot)xdot, e_b>_g and
         M2[a,b] = <(D_{e_a} Om)(xdot), e_b>_g."""
-        riem = np.array([p.riemann for p in self.points])
-        dom = np.array([p.nabla_omega for p in self.points])
-        rv = np.einsum("nlkij,nj,nk->nli", riem, self.xdot, self.xdot)   # rv[n, l, a]
-        dv = np.einsum("nkji,nj->nki", dom, self.xdot)                    # dv[n, k, a]
+        pg = self.geometry
+        rv = np.einsum("nlkij,nj,nk->nli", pg.riemann, self.xdot, self.xdot)   # rv[n, l, a]
+        dv = np.einsum("nkji,nj->nki", pg.nabla_omega, self.xdot)             # dv[n, k, a]
         return (np.einsum("nla,nlb->nab", rv, self.g),
                 np.einsum("nka,nkb->nab", dv, self.g))
 
@@ -204,25 +201,20 @@ def loop_from_orbit(orbit, n_nodes=256):
 
 
 def _magnetic_term(sys, loop, disk_radial=24):
-    x = loop.nodes
     lg = _loop_geometry(sys, loop)
     if sys.primitive is not None:
-        theta = np.array([sys.primitive_at(xi) for xi in x])
-        return float(np.einsum("ni,ni->", theta, lg.xdot)) / loop.n_nodes
+        return float(np.einsum("ni,ni->", lg.geometry.theta, lg.xdot)) / loop.n_nodes
     if np.any(loop.winding):
         raise ActionUndefinedError("no global primitive; action undefined")
     # capping-disk integral over the cone from the loop centroid
-    center = x.mean(axis=0)
-    rel = x - center
+    center = loop.nodes.mean(axis=0)
+    rel = loop.nodes - center
     nodes_r, weights_r = np.polynomial.legendre.leggauss(disk_radial)
     nodes_r = 0.5 * (nodes_r + 1.0)
     weights_r = 0.5 * weights_r
-    total = 0.0
-    for r, wr in zip(nodes_r, weights_r):
-        for i in range(loop.n_nodes):
-            sig = sys.two_form_at(center + r * rel[i])
-            total += wr * r * float(rel[i] @ sig @ lg.xdot[i]) / loop.n_nodes
-    return total
+    sig = geom.PointGeometry(sys, center + nodes_r[:, None, None] * rel).sigma
+    flux = np.einsum("ni,rnij,nj->r", rel, sig, lg.xdot)
+    return float(np.sum(weights_r * nodes_r * flux)) / loop.n_nodes
 
 
 def action(sys, loop, k, disk_radial=24):
@@ -239,15 +231,22 @@ def action(sys, loop, k, disk_radial=24):
     return kinetic + k * loop.period + _magnetic_term(sys, loop, disk_radial)
 
 
+def _closing_terms(pg, xdot, xddot, T, k):
+    """Closing conditions at nodes with geometry ``pg``, s-derivatives ``xdot``,
+    ``xddot`` and period T: the force T^2 (D(gamma')/dt - Om(gamma')) in loop
+    units, and the period component c_tau = mean(k - |gamma'|^2/2) of eta."""
+    force = (xddot + np.einsum("nkij,ni,nj->nk", pg.gamma, xdot, xdot)
+             - T * np.einsum("nkj,nj->nk", pg.omega, xdot))
+    speed2 = np.einsum("ni,nij,nj->n", xdot, pg.g, xdot)
+    return force, k - float(np.mean(speed2)) / (2.0 * T ** 2)
+
+
 def _force_residual(sys, loop, k):
     """Nodal data of eta: F = D(gamma')/dt - Om(gamma') in t-units, plus
     the period component c_tau with eta(0, tau) = tau * c_tau."""
     lg = _loop_geometry(sys, loop)
-    T = loop.period
-    acc = lg.xddot + np.einsum("nkij,ni,nj->nk", lg.gamma, lg.xdot, lg.xdot)
-    force = acc / T ** 2 - np.einsum("nkj,nj->nk", lg.omega, lg.xdot) / T
-    c_tau = float(np.mean(k - lg.speed ** 2 / (2.0 * T ** 2)))
-    return force, c_tau, lg
+    force, c_tau = _closing_terms(lg.geometry, lg.xdot, lg.xddot, loop.period, k)
+    return force / loop.period ** 2, c_tau, lg
 
 
 def eta_k(sys, loop, k, variation):
@@ -421,13 +420,10 @@ def transport_derivative(sys, loop, v_field):
     from .flow import _omega_tilde
 
     lg = _loop_geometry(sys, loop)
-    T = loop.period
     v = np.asarray(v_field, dtype=float)
-    out = np.empty_like(v)
-    for i in range(loop.n_nodes):
-        out[i] = (T * _omega_tilde(lg.points[i], lg.xdot[i] / T, v[i])
-                  - np.einsum("kab,a,b->k", lg.gamma[i], lg.xdot[i], v[i]))
-    return out
+    # Omega_tilde depends on the velocity only through its direction
+    return (loop.period * _omega_tilde(lg.geometry, lg.xdot, v)
+            - np.einsum("nkab,na,nb->nk", lg.gamma, lg.xdot, v))
 
 
 def sine_mode_variation(sys, loop, v_field, window, mode_count, dv_field=None):
@@ -504,8 +500,9 @@ class IndexReport:
 def loop_frame(sys, loop, order=None):
     """Periodic g-orthonormal frame along the loop (Gram-Schmidt of the
     coordinate basis with a fixed pivot order), plus its s-derivative."""
-    frames = np.array([geom.coordinate_frame(sys, p, order=order)
-                       for p in _loop_geometry(sys, loop).points])
+    pg = _loop_geometry(sys, loop).geometry
+    frames = np.array([geom.coordinate_frame(sys, pg[i], order=order)
+                       for i in range(loop.n_nodes)])
     dframes = spectral_derivative(frames)
     return frames, dframes
 
@@ -624,15 +621,11 @@ def mane_upper_bound(sys, region, n_samples=4096, seed=0):
 
     sups = []
     for box in regions:
-        halton = qmc.Halton(d=sys.dim, seed=seed)
-        pts = halton.random(n_samples)
-        sup = 0.0
-        for row in pts:
-            x = np.array([lo + (hi - lo) * t for (lo, hi), t in zip(box, row)])
-            theta = sys.primitive_at(x)
-            ginv = geom.PointGeometry(sys, x).ginv
-            sup = max(sup, float(np.sqrt(max(theta @ ginv @ theta, 0.0))))
-        sups.append(sup)
+        lo, hi = np.array(box).T
+        pts = qmc.Halton(d=sys.dim, seed=seed).random(n_samples)
+        pg = geom.PointGeometry(sys, lo + (hi - lo) * pts)
+        theta_sq = np.einsum("ni,nij,nj->n", pg.theta, pg.ginv, pg.theta)
+        sups.append(float(np.sqrt(max(float(np.max(theta_sq)), 0.0))))
     growing = len(sups) >= 2 and all(b > a * (1.0 + 1e-9) + 1e-12 for a, b in zip(sups, sups[1:]))
     return ManeReport(bound=0.5 * sups[-1] ** 2, sup_theta=sups, regions=regions,
                       unbounded_evidence=bool(growing), n_samples=n_samples, seed=seed)

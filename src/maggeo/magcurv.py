@@ -259,25 +259,22 @@ def _sample_box(sys, box):
     return [(-1.0, 1.0)] * sys.dim
 
 
-def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
-    """Seeded Halton points in the chart box with g-uniform unit directions.
-
-    Returns a list of (x, v) or (x, v, w) tuples with v (and w) unit and
-    mutually g-orthogonal.
-    """
-    bounds = _sample_box(sys, box)
+def _sample_geometry(sys, n_samples, seed, box, pairs):
+    """``sample_points_directions`` with the geometry of each point, sliced
+    from one stack, in place of the point: (pg, v) or (pg, v, w) tuples."""
+    lo, hi = np.array(_sample_box(sys, box)).T
     halton = qmc.Halton(d=sys.dim, seed=seed)
-    pts = halton.random(n_samples)
+    points = geom.PointGeometry(sys, lo + (hi - lo) * halton.random(n_samples))
     rng = np.random.default_rng(seed + 1)
     out = []
-    for row in pts:
-        pg = geom.PointGeometry(sys, [lo + (hi - lo) * t for (lo, hi), t in zip(bounds, row)])
-        x, g = pg.x, pg.g
+    for i in range(n_samples):
+        pg = points[i]
+        g = pg.g
         frame = geom.coordinate_frame(sys, pg)
         z = rng.standard_normal(sys.dim)
         v = frame @ (z / np.linalg.norm(z))
         if not pairs:
-            out.append((x, v))
+            out.append((pg, v))
             continue
         for _ in range(50):
             z2 = rng.standard_normal(sys.dim)
@@ -285,11 +282,20 @@ def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
             w = w - float(w @ g @ v) * v
             nw = float(np.sqrt(max(w @ g @ w, 0.0)))
             if nw > 1e-8:
-                out.append((x, v, w / nw))
+                out.append((pg, v, w / nw))
                 break
         else:
             raise FrameError("degenerate frame")
     return out
+
+
+def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
+    """Seeded Halton points in the chart box with g-uniform unit directions.
+
+    Returns a list of (x, v) or (x, v, w) tuples with v (and w) unit and
+    mutually g-orthogonal.
+    """
+    return [(pg.x, *rest) for pg, *rest in _sample_geometry(sys, n_samples, seed, box, pairs)]
 
 
 @dataclass
@@ -363,17 +369,17 @@ def positivity_scan(sys, k_grid, sample_budget, seed, box=None):
     if sample_budget <= 0:
         raise ValueError("sample budget must be positive")
 
-    pair_samples = sample_points_directions(sys, sample_budget, seed, box, pairs=True)
-    dir_samples = sample_points_directions(sys, sample_budget, seed + 10007, box)
+    pair_samples = _sample_geometry(sys, sample_budget, seed, box, pairs=True)
+    dir_samples = _sample_geometry(sys, sample_budget, seed + 10007, box, pairs=False)
 
     # the k-free forms of every sample, then scalar arithmetic per k
     sec_forms = []
-    for x, v, w in pair_samples:
-        pg, v, w = _point(sys, x, v, w, unit_w=True)
+    for pg, v, w in pair_samples:
+        pg, v, w = _point(sys, pg, v, w, unit_w=True)
         sec_forms.append(_sec_forms(pg.g, _parts(pg, v), w))
     ric_forms = []
-    for x, v in dir_samples:
-        pg, v, _ = _point(sys, x, v)
+    for pg, v in dir_samples:
+        pg, v, _ = _point(sys, pg, v)
         ric_forms.append(_ric_forms(pg.g, _parts(pg, v), v))
 
     min_sec, min_ric, arg_sec, arg_ric = [], [], [], []
@@ -383,8 +389,8 @@ def positivity_scan(sys, k_grid, sample_budget, seed, box=None):
         i, j = int(np.argmin(secs)), int(np.argmin(rics))
         min_sec.append(secs[i])
         min_ric.append(rics[j])
-        arg_sec.append(np.asarray(pair_samples[i][0]))
-        arg_ric.append(np.asarray(dir_samples[j][0]))
+        arg_sec.append(pair_samples[i][0].x)
+        arg_ric.append(dir_samples[j][0].x)
 
     return ScanReport(k_grid=k_grid, min_sec=min_sec, min_ric=min_ric,
                       argmin_sec=arg_sec, argmin_ric=arg_ric,

@@ -265,8 +265,7 @@ def orbit_curvature_extrema(sys, record, directions=16):
     min_sec = np.inf
     rng = np.random.default_rng(0)
     for i in range(0, lp.n_nodes, max(1, lp.n_nodes // 128)):
-        pg = lg.points[i]
-        v = lg.unit[i]
+        pg, v = lg.geometry[i], lg.unit[i]   # shares what the loop has computed
         min_ric = min(min_ric, magcurv.ric_omega_k(sys, pg, v, k))
         frame = geom.orthonormal_completion(sys, pg, v)
         if sys.dim == 2:
@@ -425,13 +424,7 @@ def _closing_system(sys, k, n_nodes, n, trace):
         x = u[:-1].reshape(n_nodes, n)
         xdot = loop_mod.spectral_derivative(x)
         xddot = loop_mod.spectral_derivative(xdot)
-        force = np.empty_like(x)
-        sp2 = np.empty(n_nodes)
-        for i in range(n_nodes):
-            pg = geom.PointGeometry(sys, x[i])
-            force[i] = xddot[i] + pg.gamma @ xdot[i] @ xdot[i] - T * (pg.omega @ xdot[i])
-            sp2[i] = xdot[i] @ pg.g @ xdot[i]
-        c_tau = k - float(np.mean(sp2)) / (2.0 * T ** 2)
+        force, c_tau = loop_mod._closing_terms(geom.PointGeometry(sys, x), xdot, xddot, T, k)
         return np.concatenate([force.ravel(), [c_tau * n_nodes]])
 
     return fvec

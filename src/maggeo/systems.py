@@ -79,22 +79,28 @@ def sine_field_torus(base=1.0, amp=0.2, lattice=(TWO_PI, TWO_PI)):
 
 
 def _stereo_transition(x, v):
-    """Chart swap x -> x/|x|^2 between the two stereographic charts."""
+    """Chart swap z -> 1/z between the two stereographic charts, in real
+    coordinates x -> (x1, -x2)/|x|^2, with its tangent map on v.
+
+    It is an orientation-preserving isometric involution, so it carries
+    the area form, and with it b times the area form, onto itself."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     r2 = float(x @ x)
-    xn = x / r2
-    vn = (v * r2 - 2.0 * x * float(x @ v)) / r2 ** 2
+    flip = np.array([1.0, -1.0])
+    xn = flip * x / r2
+    vn = flip * (v * r2 - 2.0 * x * float(x @ v)) / r2 ** 2
     return xn, vn
 
 
 def round_sphere(b=0.0, safe_radius=4.0):
     """Round unit sphere in a stereographic chart, g = 4 delta / (1+|x|^2)^2.
 
-    Two isometric charts cover the sphere; the transition x -> x/|x|^2 is
-    applied by the integrator when |x| exceeds ``safe_radius``.  With
-    b != 0 the two-form is b times the area form (chart-level only; no
-    global primitive is supplied).
+    Two isometric charts cover the sphere; the transition z -> 1/z, i.e.
+    x -> (x1, -x2)/|x|^2, is applied by the integrator when |x| exceeds
+    ``safe_radius``.  It preserves orientation, so with b != 0 the
+    two-form b times the area form is the same in both charts (no global
+    primitive is supplied).
     """
     def metric(x):
         u = 1.0 + float(x @ x)
