@@ -106,13 +106,13 @@ def cmd_curvature(config):
     task = config.task
     k = task["k"]
     n_samples = task.get("samples", 256)
-    samples = magcurv.sample_points_directions(sys_, n_samples, task["seed"], pairs=True)
+    samples = magcurv._sample_geometry(sys_, n_samples, task["seed"], None, pairs=True)
     header = ([f"x{i+1}" for i in range(sys_.dim)]
               + [f"v{i+1}" for i in range(sys_.dim)] + ["k", "sec", "ric", "traceA"])
     rows = []
-    for x, v, w in samples:
-        cs = magcurv.curvature_sample(sys_, x, v, k, w=w)
-        rows.append([float(c) for c in x] + [float(c) for c in v]
+    for pg, v, w in samples:
+        cs = magcurv.curvature_sample(sys_, pg, v, k, w=w)
+        rows.append([float(c) for c in pg.x] + [float(c) for c in v]
                     + [k, cs.sec, cs.ric, cs.traceA])
     _emit(config, "curvature", {
         "schema_version": 1, "kind": "curvature_samples", "system": sys_.name,

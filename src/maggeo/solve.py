@@ -10,6 +10,12 @@ Newton Jacobian is exact: each residual evaluation integrates the flow
 together with its monodromy matrix (the variational equations; Hairer,
 Norsett & Wanner, Solving ODEs I), so one Newton step costs one
 integration when its full step is accepted.
+
+The descent search's default mode ("lm") solves the discretized closing
+conditions of a loop with the same damped least-squares Newton step
+(``_damped_newton``, shared with ``shoot``), on their exact Jacobian: the
+Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB)
+plus pointwise blocks in Gamma, dGamma, Omega and dOmega at the nodes.
 """
 
 from __future__ import annotations
@@ -167,6 +173,49 @@ def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
     return r, d_u[2 * n:] + f_y @ dye
 
 
+def _damped_newton(residual, jacobian, u, r, residual_target, max_iter, floor=-np.inf):
+    """Damped least-squares Newton iteration on residual(u) = 0 from u, where
+    the residual is r.
+
+    Each step solves jacobian(u) step = -r by least squares, caps its length
+    at 2 max(1, |u|) and backtracks from the full step down to 1/16 until the
+    residual norm drops.  Trials with u[-1] <= floor are skipped, and
+    ``residual`` returns None where a trial is outside its domain.
+    ``jacobian`` is only asked at the current iterate, which is always the
+    point ``residual`` evaluated last.  Returns (u, |r|, iterations, path,
+    stop): path holds u[-1] at the start and after each iteration; stop is
+    None once |r| < residual_target, else "stalled", "max_iterations" or
+    "singular" (a non-finite step).
+    """
+    path = [float(u[-1])]
+    res_norm = float(np.linalg.norm(r))
+    for it in range(max_iter):
+        if res_norm < residual_target:
+            return u, res_norm, it, path, None
+        # a generous rcond keeps noise-level singular directions (orbit
+        # families, lattice symmetries) out of the step
+        step, *_ = np.linalg.lstsq(jacobian(u), -r, rcond=1e-6)
+        if not np.all(np.isfinite(step)):
+            return u, res_norm, it, path, "singular"
+        cap = 2.0 * max(1.0, float(np.linalg.norm(u)))
+        if np.linalg.norm(step) > cap:
+            step *= cap / np.linalg.norm(step)
+        improved = False
+        for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            u_try = u + damp * step
+            if u_try[-1] <= floor:
+                continue
+            r_try = residual(u_try)
+            if r_try is not None and np.linalg.norm(r_try) < res_norm:
+                u, r, res_norm = u_try, r_try, float(np.linalg.norm(r_try))
+                improved = True
+                break
+        path.append(float(u[-1]))
+        if not improved:
+            return u, res_norm, it + 1, path, "stalled"
+    return u, res_norm, max_iter, path, None if res_norm < residual_target else "max_iterations"
+
+
 def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1e-10,
           n_nodes=512, mode_count=32, compute_index=True, winding_target=None):
     """Newton shooting for a closed orbit with energy k.
@@ -188,47 +237,28 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
     v_ref = seed_state.v.copy()
     u = np.concatenate([x_ref, np.zeros(n - 1), [float(T_guess)]])
     shoot_tol = max(tol, 1e-12)
+    jac = None
 
-    def res_fn(uu):
-        return _residual(sys, k, x_ref, v_ref, n, uu, shoot_tol,
-                         winding_target=winding_target)
+    def residual(uu):
+        nonlocal jac
+        r, jac = _residual(sys, k, x_ref, v_ref, n, uu, shoot_tol,
+                           winding_target=winding_target)
+        return r
 
-    r, jac = res_fn(u)
+    r = residual(u)
     if r is None:
         raise ValueError("T_guess must be positive")
-    history = [float(u[-1])]
-    res_norm = float(np.linalg.norm(r))
-    for it in range(max_iter):
-        if res_norm < residual_target:
-            break
-        # a generous rcond keeps noise-level singular directions (orbit
-        # families, lattice symmetries) out of the step
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=1e-6)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobianError("degenerate periodicity system; perturb seed")
-        cap = 2.0 * max(1.0, float(np.linalg.norm(u)))
-        if np.linalg.norm(step) > cap:
-            step *= cap / np.linalg.norm(step)
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            u_try = u + damp * step
-            if u_try[-1] <= T_FLOOR:
-                continue
-            r_try, jac_try = res_fn(u_try)
-            if r_try is not None and np.linalg.norm(r_try) < res_norm:
-                u, r, jac = u_try, r_try, jac_try
-                res_norm = float(np.linalg.norm(r_try))
-                improved = True
-                break
-        history.append(float(u[-1]))
-        if not improved:
-            return SearchFailure(reason="stalled", residual=res_norm,
-                                 iterations=it + 1, period_trace=history,
-                                 detail="Newton stalled; orbit not found from this seed")
-    else:
-        if res_norm >= residual_target:
-            return SearchFailure(reason="max_iterations", residual=res_norm,
-                                 iterations=max_iter, period_trace=history)
+    u, res_norm, iterations, history, stop = _damped_newton(
+        residual, lambda _: jac, u, r, residual_target, max_iter, floor=T_FLOOR)
+    if stop == "singular":
+        raise SingularJacobianError("degenerate periodicity system; perturb seed")
+    if stop == "stalled":
+        return SearchFailure(reason="stalled", residual=res_norm,
+                             iterations=iterations, period_trace=history,
+                             detail="Newton stalled; orbit not found from this seed")
+    if stop == "max_iterations":
+        return SearchFailure(reason="max_iterations", residual=res_norm,
+                             iterations=iterations, period_trace=history)
 
     return _build_record(sys, k, x_ref, v_ref, u, tol, n_nodes, mode_count,
                          compute_index, method="shoot")
@@ -383,16 +413,21 @@ def _h1_precondition(field):
 def gradient_search(sys, k, initial_loop, schedule=None):
     """Search for a zero of the action form starting from a loop.
 
-    The default mode "lm" runs Levenberg-Marquardt on the discretized
-    closing conditions (nodal force balance in loop units plus the energy
-    constraint, with the period log-parametrized); being a root finder it
-    reaches zeros of any Morse index, and a success is polished by
-    ``shoot`` before certification.  Mode "action" follows the saturated
-    descent  -h(S) grad(S)/sqrt(1 + |grad S|^2)  of the action with a
-    cutoff vanishing below the action floor; it can only terminate at
-    minima.  Both modes classify their degenerations honestly (period
+    The default mode "lm" solves the discretized closing conditions (nodal
+    force balance in loop units plus the energy constraint, with the period
+    log-parametrized) by a damped least-squares Newton iteration on their
+    exact Jacobian, the same step as ``shoot``'s, iterated to roundoff;
+    being a root finder it reaches zeros of any Morse index, and a success
+    is polished by ``shoot`` before certification.  Mode "action" follows
+    the saturated descent  -h(S) grad(S)/sqrt(1 + |grad S|^2)  of the action
+    with a cutoff vanishing below the action floor; it can only terminate
+    at minima.  Both modes classify their degenerations honestly (period
     collapse, loop shrinking toward a constant, the action-floor cutoff,
     or a stalled vanishing sequence) and carry a period trace.
+
+    ``schedule`` overrides the keys of the defaults below; ``max_iter`` caps
+    the Newton iterations of "lm" and the descent steps of "action".  An
+    unknown key or mode raises ``ValueError``.
     """
     cfg = {
         "mode": "lm",
@@ -405,55 +440,93 @@ def gradient_search(sys, k, initial_loop, schedule=None):
         "polish": True,
         "n_nodes": 512,
         "mode_count": 32,
-        "max_nfev": 40000,
     }
-    if schedule:
-        cfg.update(schedule)
+    schedule = schedule or {}
+    unknown = sorted(set(schedule) - set(cfg))
+    if unknown:
+        raise ValueError(f"unknown gradient_search schedule keys: {unknown}")
+    cfg.update(schedule)
     if cfg["mode"] == "action":
         return _action_descent(sys, k, initial_loop, cfg)
-    return _lm_search(sys, k, initial_loop, cfg)
+    if cfg["mode"] == "lm":
+        return _lm_search(sys, k, initial_loop, cfg)
+    raise ValueError(f"unknown gradient_search mode {cfg['mode']!r}")
 
 
-def _closing_system(sys, k, n_nodes, n, trace):
+def _closing_state(sys, u):
+    """Geometry at the nodes, their s-derivatives and the period of the
+    closing unknowns u = (nodes.ravel(), log T)."""
+    x = u[:-1].reshape(-1, sys.dim)
+    T = float(np.exp(np.clip(u[-1], -30.0, 30.0)))
+    return geom.PointGeometry(sys, x), loop_mod.spectral_derivative(x), T
+
+
+def _closing_system(sys, k):
     """Lean evaluator of the closing conditions; skips loop validation so
-    the optimizer may probe freely.  Unknowns u = (nodes.ravel(), log T)."""
+    the solver may probe freely.  Unknowns u = (nodes.ravel(), log T)."""
 
     def fvec(u):
-        T = float(np.exp(np.clip(u[-1], -30.0, 30.0)))
-        trace.append(T)
-        x = u[:-1].reshape(n_nodes, n)
-        xdot = loop_mod.spectral_derivative(x)
+        pg, xdot, T = _closing_state(sys, u)
         xddot = loop_mod.spectral_derivative(xdot)
-        force, c_tau = loop_mod._closing_terms(geom.PointGeometry(sys, x), xdot, xddot, T, k)
-        return np.concatenate([force.ravel(), [c_tau * n_nodes]])
+        force, c_tau = loop_mod._closing_terms(pg, xdot, xddot, T, k)
+        return np.concatenate([force.ravel(), [c_tau * len(xdot)]])
 
     return fvec
 
 
-def _lm_search(sys, k, loop0, cfg):
-    from scipy.optimize import least_squares
+def _closing_jacobian(sys, u):
+    """Exact Jacobian at u of the closing conditions ``_closing_system(sys, k)``,
+    which does not depend on k.
 
+    With D the s-derivative matrix the residual applies (Nyquist mode
+    zeroed), the force rows are  D^2 (x) I + [Jv_i] D + blockdiag(Jx_i)  with
+    Jv_i = 2 Gamma_i(xdot_i, .) - T Om_i  and
+    Jx_i = dGamma_i(xdot_i, xdot_i) - T dOm_i xdot_i,  and -T Om_i xdot_i in
+    the log T column; the energy row differentiates
+    N k - sum_i |xdot_i|_g^2 / (2 T^2).
+    """
+    pg, xdot, T = _closing_state(sys, u)
+    n_nodes, n = xdot.shape
+    d = loop_mod.spectral_derivative(np.eye(n_nodes))
+    dlog = 1.0 if abs(u[-1]) < 30.0 else 0.0   # d log T / du[-1] under the clip
+    jv = 2.0 * np.einsum("ikaj,ia->ikj", pg.gamma, xdot) - T * pg.omega
+    jx = (np.einsum("ikabj,ia,ib->ikj", pg.dgamma, xdot, xdot)
+          - T * np.einsum("ikaj,ia->ikj", pg.domega, xdot))
+    blocks = np.einsum("ij,ikm->ikjm", d, jv)
+    nodes = np.arange(n_nodes)
+    blocks[nodes, :, nodes, :] += jx
+    gxdot = np.einsum("iab,ib->ia", pg.g, xdot)
+    dspeed2 = np.einsum("iabm,ia,ib->im", pg.dg, xdot, xdot)
+    jac = np.empty((n_nodes * n + 1, n_nodes * n + 1))
+    jac[:-1, :-1] = np.kron(d @ d, np.eye(n)) + blocks.reshape(n_nodes * n, n_nodes * n)
+    jac[:-1, -1] = -dlog * T * np.einsum("ikj,ij->ik", pg.omega, xdot).ravel()
+    jac[-1, :-1] = -(d.T @ gxdot + 0.5 * dspeed2).ravel() / T ** 2
+    jac[-1, -1] = dlog * float(np.sum(gxdot * xdot)) / T ** 2
+    return jac
+
+
+def _lm_search(sys, k, loop0, cfg):
     if np.any(loop0.winding):
         raise ValueError("descent search supports contractible seed loops only")
     gate = cfg["gate"] if cfg["gate"] is not None else loop_mod.eta_gate(loop0)
     if loop_mod.eta_norm(sys, loop0, k) < gate:
         return _polish_loop(sys, k, loop0, cfg) if cfg["polish"] else loop0
-    n = sys.dim
-    n_nodes = loop0.n_nodes
-    trace = [float(loop0.period)]
-    fvec = _closing_system(sys, k, n_nodes, n, trace)
+    fvec = _closing_system(sys, k)
     u0 = np.concatenate([loop0.nodes.ravel(), [np.log(loop0.period)]])
-    res = least_squares(fvec, u0, method="lm", xtol=1e-13, ftol=1e-13,
-                        gtol=1e-13, max_nfev=int(cfg["max_nfev"]))
-    T = float(np.exp(res.x[-1]))
-    nodes = res.x[:-1].reshape(n_nodes, n)
-    period_trace = trace[:: max(1, len(trace) // 64)]
+    # no residual target: the iteration stops when no step lowers the
+    # residual any more, at roundoff on a converging seed
+    u, res_norm, iterations, path, _ = _damped_newton(
+        fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0,
+        int(cfg["max_iter"]))
+    T = float(np.exp(u[-1]))
+    nodes = u[:-1].reshape(loop0.nodes.shape)
+    period_trace = np.exp(path).tolist()
 
     spread = float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
     spread0 = float(np.max(np.linalg.norm(loop0.nodes - loop0.nodes.mean(axis=0), axis=1)))
     if T < cfg["t_floor"] or spread <= 1e-3 * spread0:
-        return SearchFailure(reason="period_collapse", residual=float(np.sqrt(2 * res.cost)),
-                             iterations=int(res.nfev), period_trace=period_trace,
+        return SearchFailure(reason="period_collapse", residual=res_norm,
+                             iterations=iterations, period_trace=period_trace,
                              detail="loop shrinking toward constant")
     try:
         final = loop_mod.DiscreteLoop(nodes, T, winding=loop0.winding.copy())
@@ -465,7 +538,7 @@ def _lm_search(sys, k, loop0, cfg):
             return _polish_loop(sys, k, final, cfg)
         return final
     return SearchFailure(reason="stalled", residual=float(eta_res),
-                         iterations=int(res.nfev), period_trace=period_trace,
+                         iterations=iterations, period_trace=period_trace,
                          detail="vanishing sequence: residual stalled above the gate")
 
 

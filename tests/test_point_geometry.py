@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maggeo import flow, geom, loop as loop_mod, magcurv, solve, systems
+from maggeo import cli, flow, geom, loop as loop_mod, magcurv, solve, systems
+from maggeo.config import RunConfig
 
 CALLBACKS = ("metric", "dmetric", "d2metric", "two_form", "dtwo_form")
 
@@ -115,11 +116,30 @@ def test_closing_residual_is_one_stack(counted):
     sys, counts = counted
     n_nodes = 12
     loop = _wobbly_loop(n_nodes)
-    fvec = solve._closing_system(sys, 0.5, n_nodes, sys.dim, [])
+    fvec = solve._closing_system(sys, 0.5)
     counts.clear()
     fvec(np.concatenate([loop.nodes.ravel(), [np.log(loop.period)]]))
     assert dict(counts) == {"metric": n_nodes, "dmetric": n_nodes, "two_form": n_nodes,
                             "cholesky": 1}
+
+
+def test_curvature_command_evaluates_each_sample_once(counted, tmp_path):
+    sys, counts = counted
+    k, n_samples, seed = 0.7, 8, 5
+    config = RunConfig(system=sys, output={"dir": str(tmp_path), "formats": ["csv"]},
+                       task={"command": "curvature", "k": k, "samples": n_samples,
+                             "seed": seed})
+    counts.clear()
+    assert cli.cmd_curvature(config) == 0
+    assert counts["metric"] == n_samples
+    rows = (tmp_path / "curvature.csv").read_text().splitlines()[1:]
+    got = np.array([[float(c) for c in row.split(",")] for row in rows])
+    # the values of a fresh geometry at every sampled point
+    expected = []
+    for x, v, w in magcurv.sample_points_directions(sys, n_samples, seed, pairs=True):
+        cs = magcurv.curvature_sample(sys, x, v, k, w=w)
+        expected.append([*x, *v, k, cs.sec, cs.ric, cs.traceA])
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 FIELDS = ("g", "ginv", "dg", "d2g", "sigma", "dsigma", "theta", "gamma", "dgamma",

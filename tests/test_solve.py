@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -120,12 +122,10 @@ class TestGradientSearch:
         assert isinstance(out, loop_mod.DiscreteLoop)
 
     def test_seed_at_gate_skips_lm(self, torus, torus_record, monkeypatch):
-        import scipy.optimize
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran on a seed that already passes the gate")
 
-        def no_lm(*args, **kwargs):
-            raise AssertionError("LM ran on a seed that already passes the gate")
-
-        monkeypatch.setattr(scipy.optimize, "least_squares", no_lm)
+        monkeypatch.setattr(solve, "_damped_newton", no_newton)
         out = solve.gradient_search(torus, 0.5, torus_record.loop,
                                     schedule={"polish": False})
         assert out is torus_record.loop
@@ -146,6 +146,75 @@ class TestGradientSearch:
         out = solve.gradient_search(torus, 0.5, seed)
         assert isinstance(out, solve.OrbitRecord)
         assert abs(out.period - torus_record.period) < 1e-6
+
+    def test_descent_seed_converges_in_few_residuals(self, torus, monkeypatch):
+        calls = []
+        closing_system = solve._closing_system
+
+        def counted(*args):
+            fvec = closing_system(*args)
+
+            def counted_fvec(u):
+                calls.append(1)
+                return fvec(u)
+            return counted_fvec
+
+        monkeypatch.setattr(solve, "_closing_system", counted)
+        seed = solve.orbit_seed_loop(torus, 0.5, (1.0, 1.0), n_nodes=24, radius_scale=0.5)
+        out = solve.gradient_search(torus, 0.5, seed,
+                                    schedule={"n_nodes": 128, "mode_count": 16})
+        assert isinstance(out, solve.OrbitRecord) and out.certified
+        assert out.period == pytest.approx(TWO_PI, abs=1e-6)
+        assert 0 < len(calls) <= 40
+
+    def test_no_field_circle_fails_classified(self):
+        sys = systems.flat_torus(b=0.0)
+        seed = solve.circle_loop((1.0, 1.0), 0.5, n_nodes=24, period=2.0)
+        start = time.perf_counter()
+        out = solve.gradient_search(sys, 0.5, seed)
+        assert time.perf_counter() - start < 5.0
+        assert isinstance(out, solve.SearchFailure)
+        assert out.reason in ("period_collapse", "stalled")
+        assert 0 < out.iterations <= 400
+        assert out.period_trace[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("schedule", [{"max_nfev": 100}, {"mdoe": "action"},
+                                          {"mode": "newton"}])
+    def test_unknown_schedule_rejected(self, torus, schedule):
+        seed = solve.circle_loop((1.0, 1.0), 0.5, n_nodes=16)
+        with pytest.raises(ValueError):
+            solve.gradient_search(torus, 0.5, seed, schedule=schedule)
+
+
+def _wobbly_loop(center, radius, dim, n_nodes=16, period=2.3):
+    s = np.arange(n_nodes) / n_nodes
+    cols = [center[0] + radius * np.cos(TWO_PI * s), center[1] + 0.8 * radius * np.sin(TWO_PI * s)]
+    cols += [center[i] + 0.2 * np.sin(2.0 * TWO_PI * s + i) for i in range(2, dim)]
+    return np.concatenate([np.stack(cols, axis=1).ravel(), [np.log(period)]])
+
+
+class TestClosingJacobian:
+    CASES = {
+        "flat_torus": (systems.flat_torus, (1.0, 1.0), 0.5),
+        "sine_field_torus": (systems.sine_field_torus, (1.0, 1.0), 0.5),
+        "hyperbolic_chart": (systems.hyperbolic_chart, (0.2, 1.0), 0.3),
+        "random_trig_3d": (lambda: systems.random_trig_system(dim=3), (1.0, 1.0, 1.0), 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_central_differences(self, name):
+        make, center, radius = self.CASES[name]
+        sys = make()
+        u = _wobbly_loop(center, radius, sys.dim)
+        fvec = solve._closing_system(sys, 0.5)
+        jac = solve._closing_jacobian(sys, u)
+        fd = np.empty_like(jac)
+        for j in range(u.size):
+            h = 1e-6 * max(1.0, abs(u[j]))
+            up = u.copy(); up[j] += h
+            um = u.copy(); um[j] -= h
+            fd[:, j] = (fvec(up) - fvec(um)) / (2.0 * h)
+        assert np.linalg.norm(jac - fd) < 1e-6 * np.linalg.norm(fd)
 
 
 class TestContinuation:
