@@ -106,13 +106,14 @@ def cmd_curvature(config):
     task = config.task
     k = task["k"]
     n_samples = task.get("samples", 256)
-    samples = magcurv._sample_geometry(sys_, n_samples, task["seed"], None, pairs=True)
+    points, vs, ws = magcurv._sample_geometry(sys_, n_samples, task["seed"], None, pairs=True)
+    points.riemann, points.nabla_omega   # on the stack, before the per-sample slices
     header = ([f"x{i+1}" for i in range(sys_.dim)]
               + [f"v{i+1}" for i in range(sys_.dim)] + ["k", "sec", "ric", "traceA"])
     rows = []
-    for pg, v, w in samples:
-        cs = magcurv.curvature_sample(sys_, pg, v, k, w=w)
-        rows.append([float(c) for c in pg.x] + [float(c) for c in v]
+    for i, (v, w) in enumerate(zip(vs, ws)):
+        cs = magcurv.curvature_sample(sys_, points[i], v, k, w=w)
+        rows.append([float(c) for c in points.x[i]] + [float(c) for c in v]
                     + [k, cs.sec, cs.ric, cs.traceA])
     _emit(config, "curvature", {
         "schema_version": 1, "kind": "curvature_samples", "system": sys_.name,
@@ -176,9 +177,9 @@ def cmd_transport(config):
                            tolerance=task.get("tolerance", 1e-10))
     v0 = np.asarray(task.get("v0", np.eye(sys_.dim)[-1]), dtype=float)
     tf = flow.magnetic_transport(sys_, orbit, v0)
-    norms = [sys_.metric_at(orbit.states[i, :sys_.dim]) @ tf.values[i] @ tf.values[i]
-             for i in range(len(orbit.t))]
-    drift = float(np.max(np.abs(np.asarray(norms) - norms[0])))
+    g = sys_.metric_at(orbit.states[:, :sys_.dim])
+    norms = np.einsum("mi,mij,mj->m", tf.values, g, tf.values)
+    drift = float(np.max(np.abs(norms - norms[0])))
     _emit(config, "transport", {
         "schema_version": 1, "kind": "transport", "system": sys_.name,
         "k": k, "t_end": t_end, "norm_drift": drift,

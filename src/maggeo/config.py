@@ -20,7 +20,9 @@ a comment.  User-defined systems give metric entries ``g11, g12, ...``,
 two-form entries ``sigma12, ...`` and optional primitive entries
 ``theta1, ...`` as arithmetic expressions in x1..xn; expression systems
 get analytic derivative callbacks by symbolic differentiation unless
-``derivatives = fd`` is requested.
+``derivatives = fd`` is requested.  Like every field callback, those of an
+expression system evaluate a point or a stack of points in one call: each
+entry is one numpy evaluation of its expression over the stack.
 """
 
 from __future__ import annotations
@@ -110,6 +112,22 @@ class RunConfig:
         return self.task["command"]
 
 
+def _expression_field(dim, rank, entries, transpose=None):
+    """Field callback of an expression system: x -> (..., dim^rank) array
+    whose entry [i, j, ...] is ``entries[(i, j, ...)]`` evaluated on the
+    point or stack x, with [j, i, ...] set to ``transpose`` times it when
+    given (symmetric or antisymmetric first index pair) and 0 elsewhere."""
+    def field(x):
+        out = np.zeros(x.shape[:-1] + (dim,) * rank)
+        for key, expr in entries.items():
+            value = expr(x)
+            out[(Ellipsis,) + key] = value
+            if transpose is not None:
+                out[(Ellipsis, key[1], key[0]) + key[2:]] = transpose * value
+        return out
+    return field
+
+
 def _build_expression_system(sysc, problems):
     dim = None
     if "dimension" in sysc:
@@ -155,7 +173,7 @@ def _build_expression_system(sysc, problems):
                 if not (1 <= i <= dim):
                     problems.append(f"system.{key}: index out of range")
                     continue
-                out[i - 1] = expr
+                out[(i - 1,)] = expr
         return out
 
     g_entries = grab("g", pairs=True)
@@ -193,69 +211,25 @@ def _build_expression_system(sysc, problems):
             problems.append("system.lattice: needs one period per coordinate")
             return None
 
-    def metric(x):
-        g = np.zeros((dim, dim))
-        for (i, j), expr in g_entries.items():
-            val = expr(x)
-            g[i, j] = val
-            g[j, i] = val
-        return g
-
-    def two_form(x):
-        s = np.zeros((dim, dim))
-        for (i, j), expr in s_entries.items():
-            val = expr(x)
-            s[i, j] = val
-            s[j, i] = -val
-        return s
-
-    primitive = None
-    if t_entries:
-        def primitive(x):
-            th = np.zeros(dim)
-            for i, expr in t_entries.items():
-                th[i] = expr(x)
-            return th
-
+    metric = _expression_field(dim, 2, g_entries, 1.0)
+    two_form = _expression_field(dim, 2, s_entries, -1.0)
+    primitive = _expression_field(dim, 1, t_entries) if t_entries else None
     kwargs = dict(dim=dim, metric=metric, two_form=two_form, primitive=primitive,
                   lattice=lattice, name="expression_system")
     if scheme == "fd":
         return ChartedSystem(scheme="fd", fd_step=fd_step, **kwargs)
 
     vars_ = [f"x{i+1}" for i in range(dim)]
-    dg = {key: [expr.diff(v) for v in vars_] for key, expr in g_entries.items()}
-    d2g = {key: [[entry.diff(v) for v in vars_] for entry in row_]
-           for key, row_ in ((key, dg[key]) for key in dg)}
-    ds = {key: [expr.diff(v) for v in vars_] for key, expr in s_entries.items()}
 
-    def dmetric(x):
-        out = np.zeros((dim, dim, dim))
-        for (i, j), row in dg.items():
-            for a, expr in enumerate(row):
-                val = expr(x)
-                out[i, j, a] = val
-                out[j, i, a] = val
-        return out
+    def diff(entries):
+        """The coordinate derivatives of the entries, indexed last."""
+        return {key + (a,): expr.diff(v) for key, expr in entries.items()
+                for a, v in enumerate(vars_)}
 
-    def d2metric(x):
-        out = np.zeros((dim, dim, dim, dim))
-        for (i, j), rows in d2g.items():
-            for a, row in enumerate(rows):
-                for b, expr in enumerate(row):
-                    val = expr(x)
-                    out[i, j, a, b] = val
-                    out[j, i, a, b] = val
-        return out
-
-    def dtwo_form(x):
-        out = np.zeros((dim, dim, dim))
-        for (i, j), row in ds.items():
-            for a, expr in enumerate(row):
-                val = expr(x)
-                out[i, j, a] = val
-                out[j, i, a] = -val
-        return out
-
+    dg = diff(g_entries)
+    dmetric = _expression_field(dim, 3, dg, 1.0)
+    d2metric = _expression_field(dim, 4, diff(dg), 1.0)
+    dtwo_form = _expression_field(dim, 3, diff(s_entries), -1.0)
     return ChartedSystem(scheme="analytic", dmetric=dmetric, d2metric=d2metric,
                          dtwo_form=dtwo_form, **kwargs)
 

@@ -10,32 +10,35 @@ than unary minus):
     atom    := number | identifier | identifier '(' expr ')' | '(' expr ')'
 
 Identifiers are the coordinates x1..xn, the energy parameter k, and the
-function names sin cos tan exp log sqrt abs sinh cosh.  Evaluation is
-total on its domain; domain violations raise ``EvalError`` instead of
-propagating NaN.  Every node supports symbolic differentiation with
+function names sin cos tan exp log sqrt abs sinh cosh.  An expression
+evaluates at one point or at a stack of points in one pass of numpy
+ufuncs; evaluation is total on its domain, and a domain violation or an
+overflow at any point raises ``EvalError`` instead of propagating inf or
+NaN.  Every node supports symbolic differentiation with
 respect to a coordinate, which gives analytic derivative callbacks for
 expression-defined systems.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import EvalError, ParseError
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
 }
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_][A-Za-z_0-9]*)|(.))")
@@ -141,13 +144,13 @@ class BinOp(Node):
         if self.op == "*":
             return a * b
         if self.op == "/":
-            if b == 0.0:
+            if np.any(b == 0.0):
                 raise EvalError("division by zero")
             return a / b
         # power
-        if a == 0.0 and b < 0.0:
+        if np.any((a == 0.0) & (b < 0.0)):
             raise EvalError("zero raised to a negative power")
-        if a < 0.0 and b != int(b):
+        if np.any((a < 0.0) & (b != np.trunc(b))):
             raise EvalError("negative base with non-integer exponent")
         return a ** b
 
@@ -182,14 +185,11 @@ class Call(Node):
 
     def __call__(self, env):
         x = self.arg(env)
-        if self.fn == "log" and x <= 0.0:
+        if self.fn == "log" and np.any(x <= 0.0):
             raise EvalError("log of a non-positive value")
-        if self.fn == "sqrt" and x < 0.0:
+        if self.fn == "sqrt" and np.any(x < 0.0):
             raise EvalError("sqrt of a negative value")
-        try:
-            return FUNCTIONS[self.fn](x)
-        except OverflowError:
-            raise EvalError(f"overflow in {self.fn}") from None
+        return FUNCTIONS[self.fn](x)
 
     def diff(self, var):
         a, da = self.arg, self.arg.diff(var)
@@ -220,10 +220,17 @@ class Expression:
     variables: Tuple[str, ...]
 
     def __call__(self, coords, k=None):
-        env = {f"x{i+1}": float(c) for i, c in enumerate(coords)}
+        """Value at the point or stack ``coords`` (coordinates last), with
+        the leading axes of the stack; a constant stays a scalar."""
+        coords = np.asarray(coords, dtype=float)
+        env = {f"x{i+1}": coords[..., i] for i in range(coords.shape[-1])}
         if k is not None:
             env["k"] = float(k)
-        return self.root(env)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return self.root(env)
+        except (FloatingPointError, OverflowError) as exc:
+            raise EvalError(f"{exc} in {self.source!r}") from None
 
     def diff(self, var):
         return Expression(self.root.diff(var), f"d({self.source})/d{var}", self.variables)

@@ -196,7 +196,7 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
         states[i] = seg.sol(np.clip(ti, seg.t0, seg.t1))
         swap_counts[i] = seg.swaps
 
-    wrapped = np.array([sys.wrap(states[i, :n]) for i in range(samples)])
+    wrapped = sys.wrap(states[:, :n])
 
     g = geom.PointGeometry(sys, states[:, :n]).g
     energies = 0.5 * np.einsum("mi,mij,mj->m", states[:, n:], g, states[:, n:])

@@ -21,12 +21,14 @@ nabla_omega       ``dOm[k, j, i] = (nabla_{e_i} Omega)^k_j``
 Sign convention: the sectional curvature of the round unit sphere is +1,
 i.e. ``<R(u,v)v, u>_g = 1`` for orthonormal ``u, v``.
 
-``PointGeometry(sys, x)`` is the geometry at a point ``x`` of shape ``(n,)``
-or at a stack of points of shape ``(..., n)``, whose arrays carry the same
-leading axes.  Each field (g, sigma and their derivatives) is evaluated and
-checked at most once per point, on first use, through ``ChartedSystem.*_at``;
-one batched Cholesky factorisation gives g^{-1} and is the
-positive-definiteness check of every point.  The tensors built from the
+Every field callback of a ``ChartedSystem`` maps a point ``x`` of shape
+``(n,)`` or a stack of points of shape ``(..., n)`` to an array with the
+same leading axes, so a set of points is evaluated in one call.
+``PointGeometry(sys, x)`` is the geometry at such a point or stack, whose
+arrays carry the same leading axes.  Each field (g, sigma and their
+derivatives) is evaluated and checked once per stack, on first use, through
+``ChartedSystem.*_at``; one batched Cholesky factorisation gives g^{-1} and
+is the positive-definiteness check of every point.  The tensors built from the
 fields are cached the same way, each computed once for the whole stack, and
 ``pg[i]`` is point ``i`` with everything computed so far sliced.  The tensor
 functions below take a point or a ``PointGeometry`` as ``x``, the functions
@@ -54,21 +56,26 @@ _UNIT_TOL = 1e-8
 class ChartedSystem:
     """A magnetic system (g, sigma) on a single coordinate chart.
 
+    Every callback takes a point ``x`` of shape ``(n,)`` or a stack of
+    points of shape ``(..., n)`` and returns its value at each point, with
+    the leading axes of ``x``; ``*_at`` reject a value of any other shape.
+
     Parameters
     ----------
     dim : int
         Chart dimension, n >= 2.
     metric : callable
-        x -> symmetric positive-definite (n, n) array.
+        x -> symmetric positive-definite (..., n, n) array.
     two_form : callable
-        x -> antisymmetric (n, n) array.
+        x -> antisymmetric (..., n, n) array.
     primitive : callable, optional
-        x -> length-n covector theta with d theta = sigma on the chart
+        x -> (..., n) covector theta with d theta = sigma on the chart
         (or on the universal-cover chart for lattice systems).
     lattice : sequence, optional
         n period lengths; ``None`` entries mark non-periodic coordinates.
     scheme : str
-        "analytic" (dmetric/d2metric/dtwo_form callbacks supplied) or
+        "analytic" (dmetric/d2metric/dtwo_form callbacks supplied, with
+        the derivative indices last) or
         "fd" (central differences with step ``fd_step``).
     fd_step : float
         Base finite-difference step, scaled per coordinate by
@@ -117,24 +124,32 @@ class ChartedSystem:
 
     # -- field evaluation with validation ---------------------------------
 
+    def _evaluate(self, name, x, rank):
+        """Callback ``name`` at the point or stack x, checked to return one
+        (n,) * rank array per point."""
+        value = np.asarray(getattr(self, name)(x), dtype=float)
+        expected = x.shape[:-1] + (self.dim,) * rank
+        if value.shape != expected:
+            raise ValueError(f"{name} callback returned shape {value.shape} for points "
+                             f"of shape {x.shape}; expected {expected}")
+        return value
+
     def metric_at(self, x):
-        g = np.asarray(self.metric(np.asarray(x, dtype=float)), dtype=float)
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if np.max(np.abs(g - g.T)) > _SYM_TOL * scale:
-            raise DegenerateMetricError(f"metric not symmetric at x={np.asarray(x)!r}")
+        x = np.asarray(x, dtype=float)
+        g = self._evaluate("metric", x, 2)
+        _check_symmetry(g, x, 1.0, DegenerateMetricError, "metric not symmetric")
         return g
 
     def two_form_at(self, x):
-        s = np.asarray(self.two_form(np.asarray(x, dtype=float)), dtype=float)
-        scale = max(1.0, float(np.max(np.abs(s))))
-        if np.max(np.abs(s + s.T)) > _SYM_TOL * scale:
-            raise ValueError(f"two_form not antisymmetric at x={np.asarray(x)!r}")
+        x = np.asarray(x, dtype=float)
+        s = self._evaluate("two_form", x, 2)
+        _check_symmetry(s, x, -1.0, ValueError, "two_form not antisymmetric")
         return s
 
     def primitive_at(self, x):
         if self.primitive is None:
             return None
-        return np.asarray(self.primitive(np.asarray(x, dtype=float)), dtype=float)
+        return self._evaluate("primitive", np.asarray(x, dtype=float), 1)
 
     # -- helpers -----------------------------------------------------------
 
@@ -145,13 +160,13 @@ class ChartedSystem:
         return float(np.sqrt(max(self.inner(x, v, v), 0.0)))
 
     def wrap(self, x):
-        """Reduce coordinates to the fundamental lattice cell [0, L)."""
+        """Reduce coordinates (of a point or stack) to the fundamental lattice cell [0, L)."""
         x = np.array(x, dtype=float)
         if self.lattice is None:
             return x
         for i, period in enumerate(self.lattice):
             if period:
-                x[i] = x[i] % period
+                x[..., i] %= period
         return x
 
     def wrap_diff(self, dx):
@@ -161,32 +176,49 @@ class ChartedSystem:
             return dx
         for i, period in enumerate(self.lattice):
             if period:
-                dx[i] -= period * np.round(dx[i] / period)
+                dx[..., i] -= period * np.round(dx[..., i] / period)
         return dx
 
     # -- derivative schemes -------------------------------------------------
 
     def _steps(self, x):
-        x = np.asarray(x, dtype=float)
         h = self.fd_step * np.maximum(1.0, np.abs(x))
-        if np.any(x + h == x) or np.any(x - h == x):
-            raise DerivativeStepError(f"derivative step too small at x={x!r}")
+        bad = np.any((x + h == x) | (x - h == x), axis=-1)
+        if np.any(bad):
+            first = x.reshape(-1, self.dim)[np.argmax(bad.reshape(-1))]
+            raise DerivativeStepError(f"derivative step too small at x={first!r}")
         return h
 
-    def dmetric_at(self, x):
+    def _derivative(self, name, base, x, rank):
+        """Callback ``name`` (analytic scheme) or central differences of the
+        callback ``base`` (rank 2) in every coordinate, ``rank`` times."""
+        x = np.asarray(x, dtype=float)
         if self.scheme == "analytic":
-            return np.asarray(self.dmetric(np.asarray(x, dtype=float)), dtype=float)
-        return _fd_jacobian(self.metric, x, self._steps(x))
+            return self._evaluate(name, x, 2 + rank)
+        fd = _fd_jacobian if rank == 1 else _fd_hessian
+        return fd(lambda z: self._evaluate(base, z, 2), x, self._steps(x))
+
+    def dmetric_at(self, x):
+        return self._derivative("dmetric", "metric", x, 1)
 
     def d2metric_at(self, x):
-        if self.scheme == "analytic":
-            return np.asarray(self.d2metric(np.asarray(x, dtype=float)), dtype=float)
-        return _fd_hessian(self.metric, x, self._steps(x))
+        return self._derivative("d2metric", "metric", x, 2)
 
     def dtwo_form_at(self, x):
-        if self.scheme == "analytic":
-            return np.asarray(self.dtwo_form(np.asarray(x, dtype=float)), dtype=float)
-        return _fd_jacobian(self.two_form, x, self._steps(x))
+        return self._derivative("dtwo_form", "two_form", x, 1)
+
+
+def _check_symmetry(a, x, sign, error, what):
+    """Raise ``error`` at the first point of the stack x where the matrix a
+    differs from sign * its transpose by more than _SYM_TOL max(1, |a|)."""
+    diff = a - a.swapaxes(-1, -2) if sign > 0 else a + a.swapaxes(-1, -2)
+    if not diff.any():   # exactly (anti)symmetric: the common case
+        return
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-1, -2)))
+    bad = np.abs(diff).max(axis=(-1, -2)) > _SYM_TOL * scale
+    if np.any(bad):
+        first = x.reshape(-1, x.shape[-1])[np.argmax(bad.reshape(-1))]
+        raise error(f"{what} at x={first!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +226,9 @@ class ChartedSystem:
 
 
 def _field(method):
-    """A field of the system, evaluated (and checked) by ``sys.<method>``
-    point by point; a single point is passed straight through."""
-    def evaluate(pg):
-        at, x = getattr(pg.sys, method), pg.x
-        if x.ndim == 1:
-            return at(x)
-        values = np.stack([at(xi) for xi in x.reshape(-1, x.shape[-1])])
-        return values.reshape(x.shape[:-1] + values.shape[1:])
-    return cached_property(evaluate)
+    """A field of the system, evaluated and checked by ``sys.<method>`` in one
+    call for the point or stack."""
+    return cached_property(lambda pg: getattr(pg.sys, method)(pg.x))
 
 
 class PointGeometry:
@@ -274,39 +300,42 @@ class PointGeometry:
 # finite differences
 
 
+def _per_point(a, value):
+    """a, with one entry per point of the stack, aligned to broadcast
+    against ``value``, which has the stack's leading axes."""
+    return a.reshape(a.shape + (1,) * (value.ndim - a.ndim))
+
+
 def _fd_jacobian(fn, x, h):
-    """Central-difference coordinate derivatives, output shape fn(x).shape + (n,);
-    2n evaluations of ``fn``."""
+    """Central-difference coordinate derivatives of fn at the point or stack
+    x, shape fn(x).shape + (n,); 2n calls of ``fn``, each on the whole stack."""
     x = np.asarray(x, dtype=float)
     cols = []
-    for k in range(x.size):
-        xp = x.copy(); xp[k] += h[k]
-        xm = x.copy(); xm[k] -= h[k]
-        cols.append((np.asarray(fn(xp), dtype=float)
-                     - np.asarray(fn(xm), dtype=float)) / (2.0 * h[k]))
+    for k in range(x.shape[-1]):
+        e = np.zeros_like(x)
+        e[..., k] = h[..., k]
+        diff = fn(x + e) - fn(x - e)
+        cols.append(diff / _per_point(2.0 * h[..., k], diff))
     return np.stack(cols, axis=-1)
 
 
 def _fd_hessian(fn, x, h):
-    """Central-difference second derivatives, shape fn(x).shape + (n, n)."""
+    """Central-difference second derivatives, shape fn(x).shape + (n, n);
+    2n^2 + 1 calls of ``fn``, each on the whole stack."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    base = np.asarray(fn(x), dtype=float)
+    n = x.shape[-1]
+    base = fn(x)
     out = np.empty(base.shape + (n, n))
+    e = np.zeros((n,) + x.shape)
     for k in range(n):
-        xp = x.copy(); xp[k] += h[k]
-        xm = x.copy(); xm[k] -= h[k]
-        out[..., k, k] = (np.asarray(fn(xp), dtype=float) - 2.0 * base
-                          + np.asarray(fn(xm), dtype=float)) / h[k] ** 2
+        e[k][..., k] = h[..., k]
+    hs = [_per_point(h[..., k], base) for k in range(n)]
     for k in range(n):
+        out[..., k, k] = (fn(x + e[k]) - 2.0 * base + fn(x - e[k])) / hs[k] ** 2
         for l in range(k + 1, n):
-            xpp = x.copy(); xpp[k] += h[k]; xpp[l] += h[l]
-            xpm = x.copy(); xpm[k] += h[k]; xpm[l] -= h[l]
-            xmp = x.copy(); xmp[k] -= h[k]; xmp[l] += h[l]
-            xmm = x.copy(); xmm[k] -= h[k]; xmm[l] -= h[l]
-            mixed = (np.asarray(fn(xpp), dtype=float) - np.asarray(fn(xpm), dtype=float)
-                     - np.asarray(fn(xmp), dtype=float) + np.asarray(fn(xmm), dtype=float))
-            mixed /= 4.0 * h[k] * h[l]
+            mixed = (fn(x + e[k] + e[l]) - fn(x + e[k] - e[l])
+                     - fn(x - e[k] + e[l]) + fn(x - e[k] - e[l]))
+            mixed /= 4.0 * hs[k] * hs[l]
             out[..., k, l] = mixed
             out[..., l, k] = mixed
     return out
@@ -449,13 +478,13 @@ def coordinate_frame(sys, x, order=None):
 
 
 def exterior_derivative_residual(sys, x):
-    """Max norm of (d theta - sigma)_ij at x, via the system's derivative scheme.
+    """Max norm of (d theta - sigma)_ij at the point or stack x, by central differences.
 
     Only available when a primitive is present; used to validate user input.
     """
     if sys.primitive is None:
         raise ValueError("system has no primitive")
-    h = sys._steps(x)
-    dtheta = _fd_jacobian(sys.primitive, x, h)  # dtheta[j, i] = d_i theta_j
-    ext = dtheta.T - dtheta  # (d theta)_ij = d_i theta_j - d_j theta_i
+    x = np.asarray(x, dtype=float)
+    dtheta = _fd_jacobian(sys.primitive_at, x, sys._steps(x))  # dtheta[j, i] = d_i theta_j
+    ext = np.swapaxes(dtheta, -1, -2) - dtheta  # (d theta)_ij = d_i theta_j - d_j theta_i
     return float(np.max(np.abs(ext - sys.two_form_at(x))))

@@ -14,7 +14,9 @@ the quadratic form <M_k(v, w), w>_g; the k-magnetic Ricci curvature is
 the trace of M_k(v, .) on the orthogonal complement of v, which is
 tr M_k - <M_k(v, v), v>_g.  The parts are built once per point and
 direction, so a scan over a k grid is scalar arithmetic per sample.
-Functions that take a point ``x`` also take a ``geom.PointGeometry`` of it.
+Functions that take a point ``x`` also take a ``geom.PointGeometry`` of it;
+``a_omega`` to ``ric_omega_k`` and the surface helpers also take a stack of
+points (with one v, w per point) and return one value per point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import geom
 from .errors import FrameError
@@ -35,21 +36,38 @@ POSITIVITY_GUARD = 1e-12
 _UNIT_TOL = 1e-8
 
 
+def _inner(g, u, v):
+    """<u, v>_g at each point."""
+    return np.einsum("...i,...ij,...j->...", u, g, v)
+
+
+def _apply(a, v):
+    """The matrix a applied to v at each point."""
+    return np.einsum("...ij,...j->...i", a, v)
+
+
 def _norm(g, v):
-    return float(np.sqrt(max(float(v @ g @ v), 0.0)))
+    return np.sqrt(np.maximum(_inner(g, v, v), 0.0))
+
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
 
 
 def _point(sys, x, v, w=None, unit_w=False):
-    """The geometry at x, with v (and w) checked to be a unit (orthonormal) frame."""
+    """The geometry at the point or stack x, with v (and w) checked to be a
+    unit (orthonormal) frame at every point."""
     pg = geom.PointGeometry.of(sys, x)
     v = np.asarray(v, float)
     w = None if w is None else np.asarray(w, float)
-    if abs(_norm(pg.g, v) - 1.0) > _UNIT_TOL:
+    if np.any(np.abs(_norm(pg.g, v) - 1.0) > _UNIT_TOL):
         raise FrameError("frame violation: |v|_g != 1")
-    if w is not None and abs(float(v @ pg.g @ w)) > _UNIT_TOL * max(1.0, _norm(pg.g, w)):
-        raise FrameError("frame violation: <v,w>_g != 0")
-    if unit_w and abs(_norm(pg.g, w) - 1.0) > _UNIT_TOL:
-        raise FrameError("frame violation: |w|_g != 1")
+    if w is not None:
+        norm_w = _norm(pg.g, w)
+        if np.any(np.abs(_inner(pg.g, v, w)) > _UNIT_TOL * np.maximum(1.0, norm_w)):
+            raise FrameError("frame violation: <v,w>_g != 0")
+        if unit_w and np.any(np.abs(norm_w - 1.0) > _UNIT_TOL):
+            raise FrameError("frame violation: |w|_g != 1")
     return pg, v, w
 
 
@@ -59,15 +77,16 @@ def _check_energy(k):
 
 
 def _parts(pg, v):
-    """The k-free matrices (R_v, D_v, A_v) of M_k(v, .) at unit v."""
+    """The k-free matrices (R_v, D_v, A_v) of M_k(v, .) at unit v, at each point."""
     g, om, dom = pg.g, pg.omega, pg.nabla_omega
-    d_w = np.einsum("kji,j->ki", dom, v)   # w -> (D_w Om)(v)
-    d_v = np.einsum("kji,i->kj", dom, v)   # w -> (D_v Om)(w)
-    ov = om @ v
-    gov = g @ ov
-    return (np.einsum("lkij,j,k->li", pg.riemann, v, v),
-            d_w - 0.5 * d_v + 0.5 * np.outer(v, (g @ v) @ d_v),
-            0.75 * np.outer(ov, gov) - 0.25 * (om @ om) - 0.25 * np.outer(v, gov @ om))
+    d_w = np.einsum("...kji,...j->...ki", dom, v)   # w -> (D_w Om)(v)
+    d_v = np.einsum("...kji,...i->...kj", dom, v)   # w -> (D_v Om)(w)
+    ov = _apply(om, v)
+    gov = _apply(g, ov)
+    return (np.einsum("...lkij,...j,...k->...li", pg.riemann, v, v),
+            d_w - 0.5 * d_v + 0.5 * _outer(v, np.einsum("...j,...jk->...k", _apply(g, v), d_v)),
+            0.75 * _outer(ov, gov) - 0.25 * (om @ om)
+            - 0.25 * _outer(v, np.einsum("...j,...jk->...k", gov, om)))
 
 
 def _at_energy(k, parts):
@@ -77,22 +96,20 @@ def _at_energy(k, parts):
 
 
 def _sec_forms(g, parts, w):
-    """<P w, w>_g for each part P."""
-    gw = g @ w
-    return [float(gw @ (p @ w)) for p in parts]
+    """<P w, w>_g for each part P, at each point."""
+    return [_inner(g, w, _apply(p, w)) for p in parts]
 
 
 def _ric_forms(g, parts, v):
     """tr P - <P v, v>_g for each part P: its trace on the complement of v."""
-    gv = g @ v
-    return [float(np.trace(p) - gv @ (p @ v)) for p in parts]
+    return [np.trace(p, axis1=-2, axis2=-1) - _inner(g, v, _apply(p, v)) for p in parts]
 
 
 def a_omega(sys, x, v, w):
     """Zeroth-order magnetic operator
     A(v, w) = 3/4 <w, Om v> Om v - 1/4 Om^2 w - 1/4 <Om w, Om v> v."""
     pg, v, w = _point(sys, x, v, w)
-    return _parts(pg, v)[2] @ w
+    return _apply(_parts(pg, v)[2], w)
 
 
 def r_omega_k(sys, x, v, w, k):
@@ -102,14 +119,14 @@ def r_omega_k(sys, x, v, w, k):
     pg, v, w = _point(sys, x, v, w)
     _check_energy(k)
     r, d, _ = _parts(pg, v)
-    return _at_energy(k, (r, d, 0.0)) @ w
+    return _apply(_at_energy(k, (r, d, 0.0)), w)
 
 
 def m_omega_k(sys, x, v, w, k):
     """Magnetic curvature operator M_k = R_k + A applied to (v, w)."""
     pg, v, w = _point(sys, x, v, w)
     _check_energy(k)
-    return _at_energy(k, _parts(pg, v)) @ w
+    return _apply(_at_energy(k, _parts(pg, v)), w)
 
 
 def sec_omega_k(sys, x, v, w, k):
@@ -170,11 +187,12 @@ def rotation_operator(metric):
 
 
 def field_strength(sys, x):
-    """b(x) with sigma = b * volume form (surface charts only)."""
+    """b(x) with sigma = b * volume form (surface charts only), at the point
+    or at each point of the stack x."""
     if sys.dim != 2:
         raise ValueError("field_strength requires a surface system")
     pg = geom.PointGeometry.of(sys, x)
-    return float(pg.sigma[0, 1] / np.sqrt(np.linalg.det(pg.g)))
+    return pg.sigma[..., 0, 1] / np.sqrt(np.linalg.det(pg.g))
 
 
 def field_strength_gradient(sys, x):
@@ -182,22 +200,19 @@ def field_strength_gradient(sys, x):
     if sys.dim != 2:
         raise ValueError("field_strength_gradient requires a surface system")
     pg = geom.PointGeometry.of(sys, x)
-    det = float(np.linalg.det(pg.g))
-    s12 = float(pg.sigma[0, 1])
-    out = np.zeros(2)
-    for i in range(2):
-        ddet = det * float(np.trace(pg.ginv @ pg.dg[:, :, i]))
-        out[i] = pg.dsigma[0, 1, i] / np.sqrt(det) - 0.5 * s12 * ddet / det ** 1.5
-    return out
+    det = np.linalg.det(pg.g)[..., None]
+    s12 = pg.sigma[..., 0, 1, None]
+    ddet = det * np.einsum("...jl,...lji->...i", pg.ginv, pg.dg)   # d_i det g
+    return pg.dsigma[..., 0, 1, :] / np.sqrt(det) - 0.5 * s12 * ddet / det ** 1.5
 
 
 def gauss_curvature(sys, x):
-    """Gaussian curvature of a surface chart."""
+    """Gaussian curvature of a surface chart, <R(e1, e2)e2, e1>_g / det g."""
     if sys.dim != 2:
         raise ValueError("gauss_curvature requires a surface system")
     pg = geom.PointGeometry.of(sys, x)
-    frame = geom.coordinate_frame(sys, pg)
-    return geom.sectional(sys, pg, frame[:, 0], frame[:, 1])
+    return (np.einsum("...l,...l->...", pg.g[..., 0, :], pg.riemann[..., :, 1, 0, 1])
+            / np.linalg.det(pg.g))
 
 
 def surface_sec_b(K, b, db, v, k, metric=None):
@@ -260,33 +275,34 @@ def _sample_box(sys, box):
 
 
 def _sample_geometry(sys, n_samples, seed, box, pairs):
-    """``sample_points_directions`` with the geometry of each point, sliced
-    from one stack, in place of the point: (pg, v) or (pg, v, w) tuples."""
+    """``sample_points_directions`` as arrays: the geometry of the points, one
+    stack, and the directions v (and w, else None) as (n_samples, n) arrays."""
+    from scipy.stats import qmc   # deferred: scipy.stats is slow to import
+
     lo, hi = np.array(_sample_box(sys, box)).T
     halton = qmc.Halton(d=sys.dim, seed=seed)
     points = geom.PointGeometry(sys, lo + (hi - lo) * halton.random(n_samples))
+    g = points.g
     rng = np.random.default_rng(seed + 1)
-    out = []
+    vs = np.empty((n_samples, sys.dim))
+    ws = np.empty((n_samples, sys.dim)) if pairs else None
     for i in range(n_samples):
-        pg = points[i]
-        g = pg.g
-        frame = geom.coordinate_frame(sys, pg)
+        frame = geom.coordinate_frame(sys, points[i])
         z = rng.standard_normal(sys.dim)
-        v = frame @ (z / np.linalg.norm(z))
+        v = vs[i] = frame @ (z / np.linalg.norm(z))
         if not pairs:
-            out.append((pg, v))
             continue
         for _ in range(50):
             z2 = rng.standard_normal(sys.dim)
             w = frame @ z2
-            w = w - float(w @ g @ v) * v
-            nw = float(np.sqrt(max(w @ g @ w, 0.0)))
+            w = w - float(w @ g[i] @ v) * v
+            nw = float(np.sqrt(max(w @ g[i] @ w, 0.0)))
             if nw > 1e-8:
-                out.append((pg, v, w / nw))
+                ws[i] = w / nw
                 break
         else:
             raise FrameError("degenerate frame")
-    return out
+    return points, vs, ws
 
 
 def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
@@ -295,7 +311,8 @@ def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
     Returns a list of (x, v) or (x, v, w) tuples with v (and w) unit and
     mutually g-orthogonal.
     """
-    return [(pg.x, *rest) for pg, *rest in _sample_geometry(sys, n_samples, seed, box, pairs)]
+    points, vs, ws = _sample_geometry(sys, n_samples, seed, box, pairs)
+    return list(zip(points.x, vs, ws) if pairs else zip(points.x, vs))
 
 
 @dataclass
@@ -369,28 +386,20 @@ def positivity_scan(sys, k_grid, sample_budget, seed, box=None):
     if sample_budget <= 0:
         raise ValueError("sample budget must be positive")
 
-    pair_samples = _sample_geometry(sys, sample_budget, seed, box, pairs=True)
-    dir_samples = _sample_geometry(sys, sample_budget, seed + 10007, box, pairs=False)
-
-    # the k-free forms of every sample, then scalar arithmetic per k
-    sec_forms = []
-    for pg, v, w in pair_samples:
-        pg, v, w = _point(sys, pg, v, w, unit_w=True)
-        sec_forms.append(_sec_forms(pg.g, _parts(pg, v), w))
-    ric_forms = []
-    for pg, v in dir_samples:
-        pg, v, _ = _point(sys, pg, v)
-        ric_forms.append(_ric_forms(pg.g, _parts(pg, v), v))
+    # the k-free forms of every sample, from one stack each, then arithmetic per k
+    at_pairs, v, w = _sample_geometry(sys, sample_budget, seed, box, pairs=True)
+    sec_forms = _sec_forms(at_pairs.g, _parts(at_pairs, v), w)
+    at_dirs, u, _ = _sample_geometry(sys, sample_budget, seed + 10007, box, pairs=False)
+    ric_forms = _ric_forms(at_dirs.g, _parts(at_dirs, u), u)
 
     min_sec, min_ric, arg_sec, arg_ric = [], [], [], []
     for k in k_grid:
-        secs = [_at_energy(k, f) for f in sec_forms]
-        rics = [_at_energy(k, f) for f in ric_forms]
+        secs, rics = _at_energy(k, sec_forms), _at_energy(k, ric_forms)
         i, j = int(np.argmin(secs)), int(np.argmin(rics))
-        min_sec.append(secs[i])
-        min_ric.append(rics[j])
-        arg_sec.append(pair_samples[i][0].x)
-        arg_ric.append(dir_samples[j][0].x)
+        min_sec.append(float(secs[i]))
+        min_ric.append(float(rics[j]))
+        arg_sec.append(at_pairs.x[i])
+        arg_ric.append(at_dirs.x[j])
 
     return ScanReport(k_grid=k_grid, min_sec=min_sec, min_ric=min_ric,
                       argmin_sec=arg_sec, argmin_ric=arg_ric,
@@ -447,27 +456,23 @@ def theorem_b_scan(sys, k0, k_steps=8, grid_shape=(24, 24), zero_tol=1e-9, box=N
         raise ValueError("k0 must be positive")
     bounds = _sample_box(sys, box)
     xs = [np.linspace(lo, hi, m, endpoint=False) for (lo, hi), m in zip(bounds, grid_shape)]
-    points = [np.array([a, b_]) for a in xs[0] for b_ in xs[1]]
-
-    data = []
-    for x in points:
-        pg = geom.PointGeometry(sys, x)
-        db = field_strength_gradient(sys, pg)
-        db_norm = float(np.sqrt(max(db @ pg.ginv @ db, 0.0)))
-        data.append((x, field_strength(sys, pg), db_norm, gauss_curvature(sys, pg)))
+    pg = geom.PointGeometry(sys, np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, 2))
+    b = field_strength(sys, pg)
+    db = field_strength_gradient(sys, pg)
+    db_norm = np.sqrt(np.maximum(np.einsum("ni,nij,nj->n", db, pg.ginv, db), 0.0))
+    kg = gauss_curvature(sys, pg)
 
     k_grid = [k0 * (i + 1) / (k_steps + 1) for i in range(k_steps)]
     min_sec, positive = [], []
     for k in k_grid:
-        vals = [2.0 * k * kg - np.sqrt(2.0 * k) * dbn + bv ** 2
-                for (_, bv, dbn, kg) in data]
-        m = float(min(vals))
+        m = float(np.min(2.0 * k * kg - np.sqrt(2.0 * k) * db_norm + b ** 2))
         min_sec.append(m)
         positive.append(m > POSITIVITY_GUARD)
 
-    zero_set = [x for (x, bv, _, _) in data if abs(bv) <= zero_tol]
-    has_zero = len(zero_set) > 0
-    has_nonzero = any(abs(bv) > zero_tol for (_, bv, _, _) in data)
+    zero = np.abs(b) <= zero_tol
+    zero_set = list(pg.x[zero])
+    has_zero = bool(np.any(zero))
+    has_nonzero = not bool(np.all(zero))
     warning = bool(all(positive) and has_zero and has_nonzero)
 
     return TheoremBReport(k_grid=k_grid, min_sec=min_sec, positive=positive,

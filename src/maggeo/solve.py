@@ -11,7 +11,7 @@ together with its monodromy matrix (the variational equations; Hairer,
 Norsett & Wanner, Solving ODEs I), so one Newton step costs one
 integration when its full step is accepted.
 
-The descent search's default mode ("lm") solves the discretized closing
+The descent search (``gradient_search``) solves the discretized closing
 conditions of a loop with the same damped least-squares Newton step
 (``_damped_newton``, shared with ``shoot``), on their exact Jacobian: the
 Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB)
@@ -35,7 +35,6 @@ ENERGY_GATE = 1e-8
 CLOSURE_GATE = 1e-7
 BONNET_MYERS_SLACK = 1e-3
 T_FLOOR = 1e-3
-ACTION_FLOOR_SCALE = 1e-6
 
 
 @dataclass
@@ -260,16 +259,28 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
         return SearchFailure(reason="max_iterations", residual=res_norm,
                              iterations=iterations, period_trace=history)
 
-    return _build_record(sys, k, x_ref, v_ref, u, tol, n_nodes, mode_count,
-                         compute_index, method="shoot")
+    record = _build_record(sys, k, v_ref, u, tol, n_nodes, mode_count, compute_index)
+    if record is None:
+        return SearchFailure(reason="chart_swap", residual=res_norm,
+                             iterations=iterations, period_trace=history,
+                             detail="the closed orbit leaves both charts; "
+                                    "its loop cannot be resampled in one chart")
+    return record
 
 
-def _build_record(sys, k, x_ref, v_ref, u, tol, n_nodes, mode_count,
-                  compute_index, method):
+def _build_record(sys, k, v_ref, u, tol, n_nodes, mode_count, compute_index):
+    """The certified record of the closed orbit from the shooting unknowns u,
+    or None when the orbit swaps charts from both ends of the transition."""
     x0, v0, _, _ = _start(sys, k, v_ref, sys.dim, u)
     T = float(u[-1])
     orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=min(tol, 1e-12),
                       samples=n_nodes + 1)
+    if orbit.meta["chart_swaps_total"]:
+        # the same orbit from the other chart, where it may stay in one chart
+        orbit = integrate(sys, PhaseState(*sys.transition(x0, v0)), T,
+                          tolerance=min(tol, 1e-12), samples=n_nodes + 1)
+        if orbit.meta["chart_swaps_total"]:
+            return None
     lp = loop_mod.loop_from_orbit(orbit, n_nodes)
     eta_res = loop_mod.eta_norm(sys, lp, k)
     energy_res = orbit.energy_drift
@@ -279,8 +290,7 @@ def _build_record(sys, k, x_ref, v_ref, u, tol, n_nodes, mode_count,
     record = OrbitRecord(orbit=orbit, loop=lp, k=k, period=T,
                          closure_residual=orbit.closure_residual,
                          energy_residual=energy_res, eta_residual=eta_res,
-                         winding=orbit.winding.copy(), index_report=index_report,
-                         method=method)
+                         winding=orbit.winding.copy(), index_report=index_report)
     certify(sys, record)
     return record
 
@@ -291,22 +301,22 @@ def orbit_curvature_extrema(sys, record, directions=16):
     lp = record.loop
     lg = loop_mod._loop_geometry(sys, lp)
     k = record.k
-    min_ric = np.inf
-    min_sec = np.inf
+    step = max(1, lp.n_nodes // 128)
+    pg, v = lg.geometry[::step], lg.unit[::step]   # shares what the loop has computed
+    min_ric = np.min(magcurv.ric_omega_k(sys, pg, v, k))
+    # unit normals at each node: the completion of v, and for dim > 2
+    # random combinations of it
     rng = np.random.default_rng(0)
-    for i in range(0, lp.n_nodes, max(1, lp.n_nodes // 128)):
-        pg, v = lg.geometry[i], lg.unit[i]   # shares what the loop has computed
-        min_ric = min(min_ric, magcurv.ric_omega_k(sys, pg, v, k))
-        frame = geom.orthonormal_completion(sys, pg, v)
-        if sys.dim == 2:
-            ws = [frame[:, 1]]
-        else:
-            ws = [frame[:, 1 + j] for j in range(sys.dim - 1)]
-            for _ in range(directions):
-                z = rng.standard_normal(sys.dim - 1)
-                ws.append(frame[:, 1:] @ (z / np.linalg.norm(z)))
-        for w in ws:
-            min_sec = min(min_sec, magcurv.sec_omega_k(sys, pg, v, w, k))
+    normals = []
+    for i in range(len(v)):
+        frame = geom.orthonormal_completion(sys, pg[i], v[i])[:, 1:]
+        if sys.dim > 2:
+            z = rng.standard_normal((directions, sys.dim - 1))
+            frame = np.column_stack([frame, frame @ (z / np.linalg.norm(z, axis=1)[:, None]).T])
+        normals.append(frame)
+    normals = np.array(normals)
+    min_sec = min(np.min(magcurv.sec_omega_k(sys, pg, v, normals[..., j], k))
+                  for j in range(normals.shape[-1]))
     return float(min_ric), float(min_sec)
 
 
@@ -398,45 +408,25 @@ def family_to_csv(path, family):
 # descent search
 
 
-def _descent_state(sys, loop, k):
-    force, c_tau, _ = loop_mod._force_residual(sys, loop, k)
-    return force, c_tau, loop_mod.eta_norm(sys, loop, k)
-
-
-def _h1_precondition(field):
-    coef = np.fft.rfft(field, axis=0)
-    j = np.arange(coef.shape[0])
-    coef /= (1.0 + (2.0 * np.pi * j) ** 2)[:, None]
-    return np.fft.irfft(coef, n=field.shape[0], axis=0)
-
-
 def gradient_search(sys, k, initial_loop, schedule=None):
     """Search for a zero of the action form starting from a loop.
 
-    The default mode "lm" solves the discretized closing conditions (nodal
-    force balance in loop units plus the energy constraint, with the period
-    log-parametrized) by a damped least-squares Newton iteration on their
-    exact Jacobian, the same step as ``shoot``'s, iterated to roundoff;
-    being a root finder it reaches zeros of any Morse index, and a success
-    is polished by ``shoot`` before certification.  Mode "action" follows
-    the saturated descent  -h(S) grad(S)/sqrt(1 + |grad S|^2)  of the action
-    with a cutoff vanishing below the action floor; it can only terminate
-    at minima.  Both modes classify their degenerations honestly (period
-    collapse, loop shrinking toward a constant, the action-floor cutoff,
-    or a stalled vanishing sequence) and carry a period trace.
+    Solves the discretized closing conditions (nodal force balance in loop
+    units plus the energy constraint, with the period log-parametrized) by a
+    damped least-squares Newton iteration on their exact Jacobian, the same
+    step as ``shoot``'s, iterated to roundoff; being a root finder it
+    reaches zeros of any Morse index, and a success is polished by
+    ``shoot`` before certification.  Degenerations are classified honestly
+    (period collapse or loop shrinking toward a constant, a stalled
+    vanishing sequence) and carry a period trace.
 
     ``schedule`` overrides the keys of the defaults below; ``max_iter`` caps
-    the Newton iterations of "lm" and the descent steps of "action".  An
-    unknown key or mode raises ``ValueError``.
+    the Newton iterations.  An unknown key raises ``ValueError``.
     """
     cfg = {
-        "mode": "lm",
         "max_iter": 400,
-        "step": 0.5,
         "gate": None,
         "t_floor": T_FLOOR,
-        "action_floor": ACTION_FLOOR_SCALE * k,
-        "step_floor": 1e-10,
         "polish": True,
         "n_nodes": 512,
         "mode_count": 32,
@@ -446,11 +436,7 @@ def gradient_search(sys, k, initial_loop, schedule=None):
     if unknown:
         raise ValueError(f"unknown gradient_search schedule keys: {unknown}")
     cfg.update(schedule)
-    if cfg["mode"] == "action":
-        return _action_descent(sys, k, initial_loop, cfg)
-    if cfg["mode"] == "lm":
-        return _lm_search(sys, k, initial_loop, cfg)
-    raise ValueError(f"unknown gradient_search mode {cfg['mode']!r}")
+    return _lm_search(sys, k, initial_loop, cfg)
 
 
 def _closing_state(sys, u):
@@ -540,69 +526,6 @@ def _lm_search(sys, k, loop0, cfg):
     return SearchFailure(reason="stalled", residual=float(eta_res),
                          iterations=iterations, period_trace=period_trace,
                          detail="vanishing sequence: residual stalled above the gate")
-
-
-def _action_descent(sys, k, loop0, cfg):
-    loop = loop0
-    nodes = loop.nodes.copy()
-    T = float(loop.period)
-    gate = cfg["gate"] if cfg["gate"] is not None else loop_mod.eta_gate(loop)
-    period_trace = [T]
-    step = float(cfg["step"])
-
-    def action_of(nds, TT):
-        return loop_mod.action(sys, loop_mod.DiscreteLoop(nds, TT, winding=loop.winding.copy()), k)
-
-    s_val = action_of(nodes, T)
-    for it in range(int(cfg["max_iter"])):
-        cur = loop_mod.DiscreteLoop(nodes, T, winding=loop.winding.copy())
-        rep, c_tau, res = _descent_state(sys, cur, k)
-        period_trace.append(T)
-        if res < gate:
-            if cfg["polish"]:
-                return _polish_loop(sys, k, cur, cfg)
-            return cur
-        if T < cfg["t_floor"]:
-            return SearchFailure(reason="period_collapse", residual=res,
-                                 iterations=it, period_trace=period_trace,
-                                 detail="loop shrinking toward constant")
-        if s_val < cfg["action_floor"]:
-            return SearchFailure(reason="action_floor", residual=res,
-                                 iterations=it, period_trace=period_trace,
-                                 detail="saturated flow cut off below the action floor")
-
-        # dS(V, tau) = -T<F, V> + tau c_tau, so the downhill direction is
-        # (+F, -c_tau); the update below subtracts the direction
-        direction_nodes = -_h1_precondition(rep)
-        direction_t = c_tau
-        mag = np.sqrt(float(np.mean(np.einsum("ni,ni->n", direction_nodes,
-                                              direction_nodes))) + direction_t ** 2)
-        sat = 1.0 / np.sqrt(1.0 + mag ** 2)
-        accepted = False
-        while step >= cfg["step_floor"]:
-            nodes_try = nodes - step * sat * direction_nodes
-            t_try = T - step * sat * direction_t
-            if t_try <= 0:
-                step *= 0.5
-                continue
-            s_try = action_of(nodes_try, t_try)
-            if s_try <= s_val:
-                nodes, T, s_val = nodes_try, t_try, s_try
-                step = min(step * 1.2, float(cfg["step"]))
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            return SearchFailure(reason="step_floor", residual=res,
-                                 iterations=it, period_trace=period_trace,
-                                 detail="vanishing sequence: descent stalled")
-
-    cur = loop_mod.DiscreteLoop(nodes, T, winding=loop.winding.copy())
-    res = loop_mod.eta_norm(sys, cur, k)
-    if res < gate and cfg["polish"]:
-        return _polish_loop(sys, k, cur, cfg)
-    return SearchFailure(reason="iteration_cap", residual=res,
-                         iterations=int(cfg["max_iter"]), period_trace=period_trace)
 
 
 def _polish_loop(sys, k, loop, cfg):

@@ -3,7 +3,9 @@
 Every builtin supplies analytic first and second metric derivatives so
 that curvature evaluations carry no finite-difference error.  The same
 systems can be rebuilt with ``scheme="fd"`` to exercise the
-finite-difference path.
+finite-difference path.  Every callback evaluates a point or a stack of
+points in one call, through the coordinates ``x[..., i]`` (see
+``geom.ChartedSystem``).
 """
 
 from __future__ import annotations
@@ -14,6 +16,29 @@ from .geom import ChartedSystem
 
 TWO_PI = 2.0 * np.pi
 
+# the 2x2 identity and area form dx1^dx2, flattened
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+_AREA = (0.0, 1.0, -1.0, 0.0)
+
+
+def _constant(x, value):
+    """The array ``value`` at every point of the point or stack x."""
+    return np.zeros(x.shape[:-1] + value.shape) + value
+
+
+def _surface_tensor(pattern, f, order=0):
+    """f times the 2x2 ``pattern`` at every point, with the last ``order``
+    axes of f (derivative indices) kept last: out[..., i, j, *d] =
+    pattern_ij f[..., *d]; entries outside the pattern are +0.0."""
+    f = np.asarray(f, dtype=float)
+    lead, tail = f.shape[:f.ndim - order], f.shape[f.ndim - order:]
+    out = np.zeros(lead + (4,) + tail)
+    at = (slice(None),) * len(lead)
+    for entry, c in enumerate(pattern):
+        if c:
+            out[at + (entry,)] = f if c > 0 else -f
+    return out.reshape(lead + (2, 2) + tail)
+
 
 def flat_torus(b=1.0, lattice=(TWO_PI, TWO_PI)):
     """Flat 2-torus with uniform field strength b (sigma = b dx1^dx2).
@@ -22,19 +47,23 @@ def flat_torus(b=1.0, lattice=(TWO_PI, TWO_PI)):
     the plane, which is the expected behaviour for a non-exact form.
     """
     ident = np.eye(2)
-    zeros3 = np.zeros((2, 2, 2))
-    sigma = np.array([[0.0, b], [-b, 0.0]])
+    sigma = _surface_tensor(_AREA, b)
+
+    def primitive(x):
+        th = np.zeros(x.shape)
+        th[..., 1] = b * x[..., 0]
+        return th
 
     return ChartedSystem(
         dim=2,
-        metric=lambda x: ident,
-        two_form=lambda x: sigma,
-        primitive=lambda x: np.array([0.0, b * x[0]]),
+        metric=lambda x: _constant(x, ident),
+        two_form=lambda x: _constant(x, sigma),
+        primitive=primitive,
         lattice=tuple(lattice),
         scheme="analytic",
-        dmetric=lambda x: zeros3,
-        d2metric=lambda x: np.zeros((2, 2, 2, 2)),
-        dtwo_form=lambda x: zeros3,
+        dmetric=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
+        d2metric=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2, 2)),
+        dtwo_form=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
         name=f"flat_torus(b={b})",
     )
 
@@ -47,33 +76,29 @@ def sine_field_torus(base=1.0, amp=0.2, lattice=(TWO_PI, TWO_PI)):
     ident = np.eye(2)
 
     def b(x):
-        return base + amp * np.sin(x[0])
+        return base + amp * np.sin(x[..., 0])
 
-    def two_form(x):
-        s = b(x)
-        return np.array([[0.0, s], [-s, 0.0]])
-
-    def dtwo_form(x):
-        d = np.zeros((2, 2, 2))
-        db = amp * np.cos(x[0])
-        d[0, 1, 0] = db
-        d[1, 0, 0] = -db
-        return d
+    def db(x):
+        out = np.zeros(x.shape)
+        out[..., 0] = amp * np.cos(x[..., 0])
+        return out
 
     def primitive(x):
-        return np.array([0.0, base * x[0] - amp * np.cos(x[0])])
+        th = np.zeros(x.shape)
+        th[..., 1] = base * x[..., 0] - amp * np.cos(x[..., 0])
+        return th
 
     return ChartedSystem(
         dim=2,
-        metric=lambda x: ident,
-        two_form=two_form,
+        metric=lambda x: _constant(x, ident),
+        two_form=lambda x: _surface_tensor(_AREA, b(x)),
         primitive=primitive,
         lattice=tuple(lattice),
         scheme="analytic",
-        dmetric=lambda x: np.zeros((2, 2, 2)),
-        d2metric=lambda x: np.zeros((2, 2, 2, 2)),
-        dtwo_form=dtwo_form,
-        extras={"b": b, "db": lambda x: np.array([amp * np.cos(x[0]), 0.0])},
+        dmetric=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2)),
+        d2metric=lambda x: np.zeros(x.shape[:-1] + (2, 2, 2, 2)),
+        dtwo_form=lambda x: _surface_tensor(_AREA, db(x), 1),
+        extras={"b": b, "db": db},
         name=f"sine_field_torus(base={base},amp={amp})",
     )
 
@@ -102,49 +127,35 @@ def round_sphere(b=0.0, safe_radius=4.0):
     two-form b times the area form is the same in both charts (no global
     primitive is supplied).
     """
+    def u(x):
+        return 1.0 + np.einsum("...i,...i->...", x, x)
+
     def metric(x):
-        u = 1.0 + float(x @ x)
-        return (4.0 / u ** 2) * np.eye(2)
+        return _surface_tensor(_IDENTITY, 4.0 / u(x) ** 2)
 
     def dmetric(x):
-        u = 1.0 + float(x @ x)
-        out = np.zeros((2, 2, 2))
-        for k in range(2):
-            out[0, 0, k] = out[1, 1, k] = -16.0 * x[k] / u ** 3
-        return out
+        return _surface_tensor(_IDENTITY, -16.0 * x / (u(x) ** 3)[..., None], 1)
 
     def d2metric(x):
-        u = 1.0 + float(x @ x)
-        out = np.zeros((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(2):
-                val = -16.0 * ((k == l) / u ** 3 - 6.0 * x[k] * x[l] / u ** 4)
-                out[0, 0, k, l] = out[1, 1, k, l] = val
-        return out
+        uu = u(x)[..., None, None]
+        return _surface_tensor(_IDENTITY, -16.0 * (np.eye(2) / uu ** 3 - 6.0 * x[..., :, None]
+                                                   * x[..., None, :] / uu ** 4), 2)
 
     def two_form(x):
         if b == 0.0:
-            return np.zeros((2, 2))
-        u = 1.0 + float(x @ x)
-        s = 4.0 * b / u ** 2
-        return np.array([[0.0, s], [-s, 0.0]])
+            return np.zeros(x.shape[:-1] + (2, 2))
+        return _surface_tensor(_AREA, 4.0 * b / u(x) ** 2)
 
     def dtwo_form(x):
-        out = np.zeros((2, 2, 2))
         if b == 0.0:
-            return out
-        u = 1.0 + float(x @ x)
-        for k in range(2):
-            d = -16.0 * b * x[k] / u ** 3
-            out[0, 1, k] = d
-            out[1, 0, k] = -d
-        return out
+            return np.zeros(x.shape[:-1] + (2, 2, 2))
+        return _surface_tensor(_AREA, -16.0 * b * x / (u(x) ** 3)[..., None], 1)
 
     return ChartedSystem(
         dim=2,
         metric=metric,
         two_form=two_form,
-        primitive=(lambda x: np.zeros(2)) if b == 0.0 else None,
+        primitive=(lambda x: np.zeros(x.shape)) if b == 0.0 else None,
         lattice=None,
         scheme="analytic",
         dmetric=dmetric,
@@ -161,35 +172,31 @@ def hyperbolic_chart(b=1.0):
 
     The bounded primitive theta = (b/x2) dx1 has |theta|_g = b everywhere.
     """
-    def metric(x):
-        return np.eye(2) / x[1] ** 2
-
     def dmetric(x):
-        out = np.zeros((2, 2, 2))
-        out[0, 0, 1] = out[1, 1, 1] = -2.0 / x[1] ** 3
-        return out
+        d = np.zeros(x.shape)
+        d[..., 1] = -2.0 / x[..., 1] ** 3
+        return _surface_tensor(_IDENTITY, d, 1)
 
     def d2metric(x):
-        out = np.zeros((2, 2, 2, 2))
-        out[0, 0, 1, 1] = out[1, 1, 1, 1] = 6.0 / x[1] ** 4
-        return out
-
-    def two_form(x):
-        s = b / x[1] ** 2
-        return np.array([[0.0, s], [-s, 0.0]])
+        d2 = np.zeros(x.shape + (2,))
+        d2[..., 1, 1] = 6.0 / x[..., 1] ** 4
+        return _surface_tensor(_IDENTITY, d2, 2)
 
     def dtwo_form(x):
-        out = np.zeros((2, 2, 2))
-        d = -2.0 * b / x[1] ** 3
-        out[0, 1, 1] = d
-        out[1, 0, 1] = -d
-        return out
+        d = np.zeros(x.shape)
+        d[..., 1] = -2.0 * b / x[..., 1] ** 3
+        return _surface_tensor(_AREA, d, 1)
+
+    def primitive(x):
+        th = np.zeros(x.shape)
+        th[..., 0] = b / x[..., 1]
+        return th
 
     return ChartedSystem(
         dim=2,
-        metric=metric,
-        two_form=two_form,
-        primitive=lambda x: np.array([b / x[1], 0.0]),
+        metric=lambda x: _surface_tensor(_IDENTITY, 1.0 / x[..., 1] ** 2),
+        two_form=lambda x: _surface_tensor(_AREA, b / x[..., 1] ** 2),
+        primitive=primitive,
         lattice=None,
         scheme="analytic",
         dmetric=dmetric,
@@ -197,6 +204,21 @@ def hyperbolic_chart(b=1.0):
         dtwo_form=dtwo_form,
         name=f"hyperbolic_chart(b={b})",
     )
+
+
+def _trig(terms, x, order=0):
+    """Derivative tensor of the given order (indices last) of the
+    trigonometric polynomial f(x) = sum_m a_m sin(k_m . x + p_m)."""
+    total = np.zeros(x.shape[:-1] + (x.shape[-1],) * order)
+    for a, k, p in terms:
+        arg = x @ k + p
+        if order == 0:
+            total = total + a * np.sin(arg)
+        elif order == 1:
+            total = total + (a * np.cos(arg))[..., None] * k
+        else:
+            total = total - (a * np.sin(arg))[..., None, None] * np.outer(k, k)
+    return total
 
 
 def conformal_surface(phi_coeffs, b_coeffs, lattice=(TWO_PI, TWO_PI)):
@@ -211,68 +233,33 @@ def conformal_surface(phi_coeffs, b_coeffs, lattice=(TWO_PI, TWO_PI)):
     phi_terms = [(float(a), np.asarray(k, float), float(p)) for a, k, p in phi_coeffs]
     b_terms = [(float(a), np.asarray(k, float), float(p)) for a, k, p in b_coeffs]
 
-    def _eval(terms, x, d=()):
-        # derivative multi-index d: () value, (i,) d_i, (i, j) d_i d_j
-        total = 0.0
-        for a, k, p in terms:
-            arg = float(k @ x) + p
-            fac = a * np.prod([k[i] for i in d]) if d else a
-            order = len(d)
-            if order % 4 == 0:
-                total += fac * np.sin(arg)
-            elif order % 4 == 1:
-                total += fac * np.cos(arg)
-            elif order % 4 == 2:
-                total -= fac * np.sin(arg)
-            else:
-                total -= fac * np.cos(arg)
-        return total
-
-    phi = lambda x: _eval(phi_terms, x)
-    dphi = lambda x, i: _eval(phi_terms, x, (i,))
-    d2phi = lambda x, i, j: _eval(phi_terms, x, (i, j))
-    bfun = lambda x: _eval(b_terms, x)
-    dbfun = lambda x, i: _eval(b_terms, x, (i,))
-
-    def metric(x):
-        return np.exp(2.0 * phi(x)) * np.eye(2)
+    def conformal_factor(x):
+        return np.exp(2.0 * _trig(phi_terms, x))
 
     def dmetric(x):
-        e = np.exp(2.0 * phi(x))
-        out = np.zeros((2, 2, 2))
-        for k in range(2):
-            out[0, 0, k] = out[1, 1, k] = 2.0 * dphi(x, k) * e
-        return out
+        e = conformal_factor(x)[..., None]
+        return _surface_tensor(_IDENTITY, 2.0 * _trig(phi_terms, x, 1) * e, 1)
 
     def d2metric(x):
-        e = np.exp(2.0 * phi(x))
-        out = np.zeros((2, 2, 2, 2))
-        for k in range(2):
-            for l in range(2):
-                val = (2.0 * d2phi(x, k, l) + 4.0 * dphi(x, k) * dphi(x, l)) * e
-                out[0, 0, k, l] = out[1, 1, k, l] = val
-        return out
+        dphi = _trig(phi_terms, x, 1)
+        val = 2.0 * _trig(phi_terms, x, 2) + 4.0 * dphi[..., :, None] * dphi[..., None, :]
+        return _surface_tensor(_IDENTITY, val * conformal_factor(x)[..., None, None], 2)
 
     def two_form(x):
-        s = bfun(x) * np.exp(2.0 * phi(x))  # b * sqrt(det g)
-        return np.array([[0.0, s], [-s, 0.0]])
+        # b * sqrt(det g)
+        return _surface_tensor(_AREA, _trig(b_terms, x) * conformal_factor(x))
 
     def dtwo_form(x):
-        e = np.exp(2.0 * phi(x))
-        out = np.zeros((2, 2, 2))
-        for k in range(2):
-            d = (dbfun(x, k) + 2.0 * bfun(x) * dphi(x, k)) * e
-            out[0, 1, k] = d
-            out[1, 0, k] = -d
-        return out
+        d = _trig(b_terms, x, 1) + 2.0 * _trig(b_terms, x)[..., None] * _trig(phi_terms, x, 1)
+        return _surface_tensor(_AREA, d * conformal_factor(x)[..., None], 1)
 
     def gauss_curvature(x):
-        lap = d2phi(x, 0, 0) + d2phi(x, 1, 1)
-        return -np.exp(-2.0 * phi(x)) * lap
+        d2phi = _trig(phi_terms, x, 2)
+        return -np.exp(-2.0 * _trig(phi_terms, x)) * (d2phi[..., 0, 0] + d2phi[..., 1, 1])
 
     return ChartedSystem(
         dim=2,
-        metric=metric,
+        metric=lambda x: _surface_tensor(_IDENTITY, conformal_factor(x)),
         two_form=two_form,
         lattice=tuple(lattice),
         scheme="analytic",
@@ -280,8 +267,8 @@ def conformal_surface(phi_coeffs, b_coeffs, lattice=(TWO_PI, TWO_PI)):
         d2metric=d2metric,
         dtwo_form=dtwo_form,
         extras={
-            "b": bfun,
-            "db": lambda x: np.array([dbfun(x, 0), dbfun(x, 1)]),
+            "b": lambda x: _trig(b_terms, x),
+            "db": lambda x: _trig(b_terms, x, 1),
             "gauss": gauss_curvature,
         },
         name="conformal_surface",
@@ -299,6 +286,10 @@ def random_conformal_surface(seed, phi_amp=0.15, b_base=1.0, b_amp=0.3):
                   rng.integers(1, 3, size=2).astype(float),
                   rng.uniform(0.0, TWO_PI)) for _ in range(2)]
     return conformal_surface(phi_coeffs, b_coeffs)
+
+
+def _minus_sin(arg):
+    return -np.sin(arg)
 
 
 def random_trig_system(dim=3, seed=0, g_amp=0.12, s_amp=0.5, n_terms=3):
@@ -327,48 +318,37 @@ def random_trig_system(dim=3, seed=0, g_amp=0.12, s_amp=0.5, n_terms=3):
             k[-1] = 1.0
         t_terms.append((a, k, rng.uniform(0.0, TWO_PI)))
 
+    g_d1 = [(s[:, :, None] * k, k, p) for s, k, p in g_terms]
+    g_d2 = [(s[:, :, None, None] * k[:, None] * k, k, p) for s, k, p in g_terms]
+    t_d1 = [(np.outer(k, a) - np.outer(a, k), k, p) for a, k, p in t_terms]
+    t_d2 = [(block[:, :, None] * k, k, p) for block, k, p in t_d1]
+
+    def series(terms, x, wave, base):
+        """base + sum_m wave(k_m . x + p_m) c_m over the terms (c_m, k_m, p_m)."""
+        total = base
+        for c, k, p in terms:
+            w = wave(x @ k + p)
+            total = total + w.reshape(w.shape + (1,) * c.ndim) * c
+        return total
+
     def metric(x):
-        g = np.eye(dim)
-        for s, k, p in g_terms:
-            g = g + s * np.sin(float(k @ x) + p)
-        return g
+        return series(g_terms, x, np.sin, _constant(x, np.eye(dim)))
 
     def dmetric(x):
-        out = np.zeros((dim, dim, dim))
-        for s, k, p in g_terms:
-            c = np.cos(float(k @ x) + p)
-            out += s[:, :, None] * k[None, None, :] * c
-        return out
+        return series(g_d1, x, np.cos, np.zeros(x.shape[:-1] + (dim,) * 3))
 
     def d2metric(x):
-        out = np.zeros((dim, dim, dim, dim))
-        for s, k, p in g_terms:
-            sn = np.sin(float(k @ x) + p)
-            out -= (s[:, :, None, None] * k[None, None, :, None]
-                    * k[None, None, None, :] * sn)
-        return out
+        return series(g_d2, x, _minus_sin, np.zeros(x.shape[:-1] + (dim,) * 4))
 
     def theta(x):
-        th = np.zeros(dim)
-        for a, k, p in t_terms:
-            th = th + a * np.sin(float(k @ x) + p)
-        return th
+        return series(t_terms, x, np.sin, np.zeros(x.shape))
 
     def two_form(x):
         # sigma_ij = d_i theta_j - d_j theta_i
-        sig = np.zeros((dim, dim))
-        for a, k, p in t_terms:
-            c = np.cos(float(k @ x) + p)
-            sig += c * (np.outer(k, a) - np.outer(a, k))
-        return sig
+        return series(t_d1, x, np.cos, np.zeros(x.shape[:-1] + (dim, dim)))
 
     def dtwo_form(x):
-        out = np.zeros((dim, dim, dim))
-        for a, k, p in t_terms:
-            sn = np.sin(float(k @ x) + p)
-            block = np.outer(k, a) - np.outer(a, k)
-            out -= block[:, :, None] * k[None, None, :] * sn
-        return out
+        return series(t_d2, x, _minus_sin, np.zeros(x.shape[:-1] + (dim,) * 3))
 
     return ChartedSystem(
         dim=dim,

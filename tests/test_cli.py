@@ -22,6 +22,20 @@ dir = {out}
 formats = json, csv
 """
 
+SPHERE_FIND_ORBIT = """
+[system]
+builtin = round_sphere
+b = 1
+
+[task]
+command = find-orbit
+k = 0.5
+
+[output]
+dir = {out}
+formats = json, csv
+"""
+
 SPHERE_CURVATURE = """
 [system]
 builtin = round_sphere
@@ -148,6 +162,20 @@ class TestCommands:
         assert record["certified"] is True
         assert record["checks"]["bonnet_myers_ok"] is True
         assert (tmp_path / "out" / "orbit_record.csv").exists()
+
+    def test_find_orbit_sphere_defaults(self, tmp_path):
+        # the default seed's orbit passes through the other chart's pole, so
+        # the record is built from the transition image of its start state
+        path = write_config(tmp_path, SPHERE_FIND_ORBIT)
+        assert cli.main(["--config", path]) == 0
+        record = json.loads((tmp_path / "out" / "orbit_record.json").read_text())
+        assert record["kind"] == "orbit_record"
+        assert record["certified"] is True
+        assert record["index"] == 1
+        # the attained Bonnet-Myers bound pi sqrt(2) (min Ric_k = 1/2)
+        assert record["period"] == pytest.approx(np.pi * np.sqrt(2.0), abs=1e-8)
+        assert record["checks"]["synge_ok"] is True
+        assert not (tmp_path / "out" / "error.json").exists()
 
     def test_curvature_sphere_constant_one(self, tmp_path):
         path = write_config(tmp_path, SPHERE_CURVATURE)

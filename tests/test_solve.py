@@ -130,16 +130,6 @@ class TestGradientSearch:
                                     schedule={"polish": False})
         assert out is torus_record.loop
 
-    def test_no_field_action_descent_collapses(self):
-        sys = systems.flat_torus(b=0.0)
-        seed = solve.circle_loop((1.0, 1.0), 0.5, n_nodes=32, period=2.0)
-        out = solve.gradient_search(sys, 0.5, seed,
-                                    schedule={"mode": "action", "max_iter": 6000,
-                                              "t_floor": 0.05})
-        assert isinstance(out, solve.SearchFailure)
-        assert out.reason == "period_collapse"
-        assert out.period_trace[-1] < out.period_trace[0]
-
     def test_agrees_with_shoot(self, torus, torus_record):
         seed = solve.orbit_seed_loop(torus, 0.5, (0.5, 0.5), n_nodes=48,
                                      radius_scale=0.8)
