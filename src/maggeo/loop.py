@@ -166,6 +166,16 @@ class _LoopGeometry:
         return self
 
     @cached_property
+    def g_xdot(self):
+        """g xdot at each node (the lowered velocity)."""
+        return np.einsum("nkl,nl->nk", self.g, self.xdot)
+
+    @cached_property
+    def gamma_xdot(self):
+        """Gamma(xdot, .) at each node: V -> V' - dV/ds is gamma_xdot @ V."""
+        return np.einsum("nkab,na->nkb", self.gamma, self.xdot)
+
+    @cached_property
     def curvature_blocks(self):
         """Per-node matrices M1[a,b] = <R(e_a, xdot)xdot, e_b>_g and
         M2[a,b] = <(D_{e_a} Om)(xdot), e_b>_g."""
@@ -285,37 +295,50 @@ def _require_critical(sys, loop, k, gate=None):
 # Hessian of the action form
 
 
-def _hessian_blocks(sys, loop, k, variations):
-    """Symmetric matrix of the second-variation quadratic form over the
-    given variations (standard three-integral expression)."""
-    lg = _loop_geometry(sys, loop)
-    T = loop.period
-    n_nodes = loop.n_nodes
+def _stack_variations(lg, variations):
+    """Values, covariant derivatives and tau of the variations, stacked as
+    (m, N, n), (m, N, n) and (m,)."""
     vs = np.stack([np.asarray(v.vectors, dtype=float) for v in variations])
     dvs = np.stack([v.d() for v in variations])
     taus = np.array([v.tau for v in variations])
+    vcov = dvs + np.einsum("nkb,dnb->dnk", lg.gamma_xdot, vs)
+    return vs, vcov, taus
 
-    vcov = dvs + np.einsum("nkab,na,dnb->dnk", lg.gamma, lg.xdot, vs)
+
+def _pair(a, b):
+    """Matrix of the nodal pairings sum_n <a_c(n), b_d(n)>: one matmul over
+    the flattened (N n) axis."""
+    return a.reshape(len(a), -1) @ b.reshape(len(b), -1).T
+
+
+def _hessian_blocks(sys, loop, k, variations):
+    """Symmetric matrix of the second-variation quadratic form over the
+    given variations (standard three-integral expression).
+
+    Each term contracts per node with n x n matrices and then pairs the
+    variations with one matmul over the flattened (N n) axis.
+    """
+    lg = _loop_geometry(sys, loop)
+    T = loop.period
+    vs, vcov, taus = _stack_variations(lg, variations)
+    g_vcov = np.einsum("nkl,dnl->dnk", lg.g, vcov)
     om_v = np.einsum("nkj,dnj->dnk", lg.omega, vs)
-    p = np.einsum("dnk,nkl,nl->dn", vcov, lg.g, lg.xdot)
+    p = np.einsum("dnk,nk->dn", vcov, lg.g_xdot)
 
-    # kinetic + magnetic first-order term, symmetrized
-    b1 = (np.einsum("cnk,nkl,dnl->cd", vcov, lg.g, vcov) / T
-          - 0.5 * np.einsum("cnk,nkl,dnl->cd", om_v, lg.g, vcov)
-          - 0.5 * np.einsum("dnk,nkl,cnl->cd", om_v, lg.g, vcov))
+    # kinetic + magnetic first-order term (symmetrized below)
+    b1 = _pair(vcov, g_vcov) / T - _pair(om_v, g_vcov)
 
+    # curvature term, folded into one symmetric matrix per node
     m1, m2 = lg.curvature_blocks
-    m1s = 0.5 * (m1 + np.swapaxes(m1, 1, 2))
-    m2s = 0.5 * (m2 + np.swapaxes(m2, 1, 2))
-    b2 = -(np.einsum("cna,nab,dnb->cd", vs, m1s, vs) / T
-           - np.einsum("cna,nab,dnb->cd", vs, m2s, vs))
+    ms = 0.5 * (m1 + np.swapaxes(m1, 1, 2)) / T - 0.5 * (m2 + np.swapaxes(m2, 1, 2))
+    b2 = -_pair(vs, np.einsum("nab,dnb->dna", ms, vs))
 
-    b3 = -np.einsum("cn,dn,n->cd", p, p, 1.0 / lg.speed ** 2) / T
+    b3 = -(p / lg.speed ** 2) @ p.T / T
 
-    q = p / lg.speed[None, :] - taus[:, None] * lg.speed[None, :] / T
-    b4 = np.einsum("cn,dn->cd", q, q) / T
+    q = p / lg.speed - taus[:, None] * lg.speed / T
+    b4 = q @ q.T / T
 
-    b = (b1 + b2 + b3 + b4) / n_nodes
+    b = (b1 + b2 + b3 + b4) / loop.n_nodes
     return 0.5 * (b + b.T)
 
 
@@ -533,13 +556,10 @@ def variation_basis(sys, loop, mode_count, order=None):
 def gram_matrix(sys, loop, variations):
     """H1-type Gram matrix: int (<V_c, V_d> + <V_c', V_d'>) ds + tau_c tau_d."""
     lg = _loop_geometry(sys, loop)
-    vs = np.stack([np.asarray(v.vectors, dtype=float) for v in variations])
-    dvs = np.stack([v.d() for v in variations])
-    taus = np.array([v.tau for v in variations])
-    vcov = dvs + np.einsum("nkab,na,dnb->dnk", lg.gamma, lg.xdot, vs)
-    g0 = np.einsum("cnk,nkl,dnl->cd", vs, lg.g, vs)
-    g1 = np.einsum("cnk,nkl,dnl->cd", vcov, lg.g, vcov)
-    g = (g0 + g1) / loop.n_nodes + np.outer(taus, taus)
+    vs, vcov, taus = _stack_variations(lg, variations)
+    g = (_pair(vs, np.einsum("nkl,dnl->dnk", lg.g, vs))
+         + _pair(vcov, np.einsum("nkl,dnl->dnk", lg.g, vcov))) / loop.n_nodes
+    g += np.outer(taus, taus)
     return 0.5 * (g + g.T)
 
 

@@ -1,7 +1,8 @@
 """Closed-orbit search at fixed energy, continuation in energy, and
 certification of the curvature-based period and index bounds.
 
-The shooting system removes the time-translation degeneracy with a
+Two correctors find closed orbits.  Shooting (``shoot``) starts from a
+point seed.  Its system removes the time-translation degeneracy with a
 phase condition <x0 - x_ref, v_ref>_g = 0 and drops the velocity
 component along the orbit (energy conservation makes it redundant), so
 the Newton system is square; steps are solved by least squares, which
@@ -11,11 +12,16 @@ together with its monodromy matrix (the variational equations; Hairer,
 Norsett & Wanner, Solving ODEs I), so one Newton step costs one
 integration when its full step is accepted.
 
-The descent search (``gradient_search``) solves the discretized closing
-conditions of a loop with the same damped least-squares Newton step
-(``_damped_newton``, shared with ``shoot``), on their exact Jacobian: the
-Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB)
-plus pointwise blocks in Gamma, dGamma, Omega and dOmega at the nodes.
+Fourier collocation (``_collocate``) starts from a loop.  It solves the
+discretized closing conditions of the loop with the same damped
+least-squares Newton step (``_damped_newton``) on their exact Jacobian:
+the Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB)
+plus pointwise blocks in Gamma, dGamma, Omega and dOmega at the nodes.  It
+integrates nothing, and it corrects every loop that is already close to
+an orbit: the previous orbit in ``continue_in_k``, and the loop of the
+descent search (``gradient_search``), which solves the same conditions
+from a coarse seed.  Both correctors end in ``_build_record``, which
+integrates the orbit once from its start state and certifies it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,14 @@ ENERGY_GATE = 1e-8
 CLOSURE_GATE = 1e-7
 BONNET_MYERS_SLACK = 1e-3
 T_FLOOR = 1e-3
+
+# Fourier collocation: nodes of the first solve, the cap on doubling them
+# (each Newton step is a dense least-squares solve of size N n + 1, whose
+# cost grows as N^3), and the largest relative amplitude allowed in the top
+# quarter of the resolved Fourier modes of a solved loop
+COLLOCATION_NODES = 32
+COLLOCATION_MAX_NODES = 256
+COLLOCATION_TAIL = 1e-8
 
 
 @dataclass
@@ -259,7 +273,9 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
         return SearchFailure(reason="max_iterations", residual=res_norm,
                              iterations=iterations, period_trace=history)
 
-    record = _build_record(sys, k, v_ref, u, tol, n_nodes, mode_count, compute_index)
+    x0, v0, _, _ = _start(sys, k, v_ref, n, u)
+    record = _build_record(sys, k, x0, v0, float(u[-1]), tol, n_nodes, mode_count,
+                           compute_index)
     if record is None:
         return SearchFailure(reason="chart_swap", residual=res_norm,
                              iterations=iterations, period_trace=history,
@@ -268,11 +284,10 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
     return record
 
 
-def _build_record(sys, k, v_ref, u, tol, n_nodes, mode_count, compute_index):
-    """The certified record of the closed orbit from the shooting unknowns u,
-    or None when the orbit swaps charts from both ends of the transition."""
-    x0, v0, _, _ = _start(sys, k, v_ref, sys.dim, u)
-    T = float(u[-1])
+def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count, compute_index):
+    """The certified record of the closed orbit with start state (x0, v0) and
+    period T, or None when the orbit swaps charts from both ends of the
+    transition."""
     orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=min(tol, 1e-12),
                       samples=n_nodes + 1)
     if orbit.meta["chart_swaps_total"]:
@@ -358,29 +373,39 @@ def certify(sys, record, bm_slack=BONNET_MYERS_SLACK):
 def continue_in_k(sys, record, k_grid, tol=1e-12, n_nodes=512, mode_count=32):
     """Predictor-corrector continuation of a certified record over a k grid.
 
-    The predictor reuses the previous initial condition with the velocity
-    rescaled onto the new energy level; the corrector is ``shoot``.  A
-    fold (corrector failure after the predictor) truncates the family.
+    The predictor is the previous orbit's loop with a secant period; the
+    corrector is Fourier collocation (``_collocation_record``), which
+    integrates nothing until the record is built.  A loop that winds, or a
+    collocation that fails, is corrected by ``shoot`` from the previous
+    initial condition with the velocity rescaled onto the new energy level,
+    retried with the kinetic period rescaling.  A fold (both shooting
+    correctors fail) truncates the family.
     """
     family = []
     prev = record
     prev_prev = None
     for k in k_grid:
-        st0 = prev.orbit.state(0)
-        v_new = st0.v * (np.sqrt(2.0 * k) / sys.norm(st0.x, st0.v))
         # secant predictor in log T vs log k: exact for power-law families
         # (constant periods and the kinetic scaling T ~ 1/sqrt(k) alike)
         T_pred = prev.period
         if prev_prev is not None and abs(prev_prev.k - prev.k) > 1e-12:
-            slope = (np.log(prev.period) - np.log(prev_prev.period))                 / (np.log(prev.k) - np.log(prev_prev.k))
+            slope = (np.log(prev.period) - np.log(prev_prev.period)) \
+                / (np.log(prev.k) - np.log(prev_prev.k))
             T_pred = prev.period * (k / prev.k) ** slope
-        result = shoot(sys, k, PhaseState(st0.x, v_new), T_pred, tol=tol,
-                       n_nodes=n_nodes, mode_count=mode_count)
-        if isinstance(result, SearchFailure):
-            # fall back to the kinetic rescaling predictor
-            T_retry = prev.period * np.sqrt(prev.k / k)
-            result = shoot(sys, k, PhaseState(st0.x, v_new), T_retry, tol=tol,
+        result = None
+        if not np.any(prev.loop.winding):
+            result = _collocation_record(sys, k, prev.loop.nodes, T_pred, tol,
+                                         n_nodes, mode_count)
+        if result is None:
+            st0 = prev.orbit.state(0)
+            v_new = st0.v * (np.sqrt(2.0 * k) / sys.norm(st0.x, st0.v))
+            result = shoot(sys, k, PhaseState(st0.x, v_new), T_pred, tol=tol,
                            n_nodes=n_nodes, mode_count=mode_count)
+            if isinstance(result, SearchFailure):
+                # fall back to the kinetic rescaling predictor
+                T_retry = prev.period * np.sqrt(prev.k / k)
+                result = shoot(sys, k, PhaseState(st0.x, v_new), T_retry, tol=tol,
+                               n_nodes=n_nodes, mode_count=mode_count)
         if isinstance(result, SearchFailure):
             result.detail = f"continuation fold at k={k}: {result.detail}"
             family.append(result)
@@ -415,10 +440,11 @@ def gradient_search(sys, k, initial_loop, schedule=None):
     units plus the energy constraint, with the period log-parametrized) by a
     damped least-squares Newton iteration on their exact Jacobian, the same
     step as ``shoot``'s, iterated to roundoff; being a root finder it
-    reaches zeros of any Morse index, and a success is polished by
-    ``shoot`` before certification.  Degenerations are classified honestly
-    (period collapse or loop shrinking toward a constant, a stalled
-    vanishing sequence) and carry a period trace.
+    reaches zeros of any Morse index.  A success is polished by Fourier
+    collocation on a resolved grid (``_collocate``, the same conditions),
+    or by ``shoot`` when that fails, and then certified.  Degenerations
+    are classified honestly (period collapse or loop shrinking toward a
+    constant, a stalled vanishing sequence) and carry a period trace.
 
     ``schedule`` overrides the keys of the defaults below; ``max_iter`` caps
     the Newton iterations.  An unknown key raises ``ValueError``.
@@ -491,6 +517,82 @@ def _closing_jacobian(sys, u):
     return jac
 
 
+def _resample(nodes, n_nodes):
+    """The trigonometric interpolant of periodic nodes at n_nodes equispaced
+    nodes: FFT truncation or zero padding, without the Nyquist mode of the
+    coarser grid."""
+    coef = np.fft.rfft(nodes, axis=0)
+    out = np.zeros((n_nodes // 2 + 1, nodes.shape[1]), dtype=complex)
+    keep = (min(len(nodes), n_nodes) + 1) // 2
+    out[:keep] = coef[:keep]
+    return np.fft.irfft(out, n=n_nodes, axis=0) * (n_nodes / len(nodes))
+
+
+def _fourier_tail(nodes):
+    """Largest amplitude in the top quarter of the resolved Fourier modes of
+    periodic nodes, relative to the largest non-constant mode."""
+    n_nodes = len(nodes)
+    amp = np.linalg.norm(np.fft.rfft(nodes, axis=0), axis=1)
+    top = amp[(3 * n_nodes) // 8:(n_nodes + 1) // 2]
+    return float(np.max(top) / np.max(amp[1:]))
+
+
+def _collocate(sys, k, nodes, T):
+    """A closed orbit with energy k near the contractible loop (nodes, T), by
+    Fourier collocation; returns its (nodes, T), or None.
+
+    The loop is resampled to ``COLLOCATION_NODES`` nodes and its closing
+    conditions are iterated to roundoff.  The solve fails when its loop
+    misses the eta gate of the descent search.  While the top Fourier modes
+    of the solution exceed ``COLLOCATION_TAIL`` the nodes are doubled and
+    the solve repeated from the resampled solution, up to
+    ``COLLOCATION_MAX_NODES``; a loop still unresolved there fails too.
+    """
+    fvec = _closing_system(sys, k)
+    n_nodes = COLLOCATION_NODES
+    while n_nodes <= COLLOCATION_MAX_NODES:
+        u0 = np.concatenate([_resample(nodes, n_nodes).ravel(), [np.log(T)]])
+        u, _, _, _, stop = _damped_newton(
+            fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0, 30)
+        if stop == "singular":
+            return None
+        nodes, T = u[:-1].reshape(n_nodes, sys.dim), float(np.exp(u[-1]))
+        try:
+            solved = loop_mod.DiscreteLoop(nodes, T)
+            if loop_mod.eta_norm(sys, solved, k) >= loop_mod.eta_gate(solved):
+                return None
+        except ValueError:
+            return None
+        if _fourier_tail(nodes) <= COLLOCATION_TAIL:
+            return nodes, T
+        n_nodes *= 2
+    return None
+
+
+def _loop_start(sys, k, nodes, T):
+    """Start state (x0, v0) of the periodic loop (nodes, T), with the
+    velocity rescaled onto the energy level |v| = sqrt(2k)."""
+    v0 = loop_mod.spectral_derivative(nodes)[0] / T
+    return nodes[0], v0 * (np.sqrt(2.0 * k) / sys.norm(nodes[0], v0))
+
+
+def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):
+    """The certified record, with method "collocation", of the orbit that
+    ``_collocate`` finds from the contractible loop (nodes, T); None when
+    collocation fails, the orbit swaps charts from both ends, or its
+    integration misses the closure or eta gate."""
+    solved = _collocate(sys, k, nodes, T)
+    if solved is None:
+        return None
+    x0, v0 = _loop_start(sys, k, *solved)
+    record = _build_record(sys, k, x0, v0, solved[1], tol, n_nodes, mode_count, True)
+    if record is None or not (record.checks["closure_residual_ok"]
+                              and record.checks["eta_gate_ok"]):
+        return None
+    record.method = "collocation"
+    return record
+
+
 def _lm_search(sys, k, loop0, cfg):
     if np.any(loop0.winding):
         raise ValueError("descent search supports contractible seed loops only")
@@ -529,12 +631,13 @@ def _lm_search(sys, k, loop0, cfg):
 
 
 def _polish_loop(sys, k, loop, cfg):
-    lg = loop_mod._loop_geometry(sys, loop)
-    x0 = loop.nodes[0]
-    v0 = lg.xdot[0] / loop.period
-    v0 *= np.sqrt(2.0 * k) / sys.norm(x0, v0)
-    rec = shoot(sys, k, PhaseState(x0, v0), loop.period,
-                n_nodes=cfg["n_nodes"], mode_count=cfg["mode_count"])
+    """The certified record of the orbit the descent search has converged
+    to: corrected by collocation, or by ``shoot`` when that fails."""
+    rec = _collocation_record(sys, k, loop.nodes, loop.period, 1e-12,
+                              cfg["n_nodes"], cfg["mode_count"])
+    if rec is None:
+        rec = shoot(sys, k, PhaseState(*_loop_start(sys, k, loop.nodes, loop.period)),
+                    loop.period, n_nodes=cfg["n_nodes"], mode_count=cfg["mode_count"])
     if isinstance(rec, OrbitRecord):
         rec.method = "gradient_search"
     return rec

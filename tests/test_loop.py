@@ -266,6 +266,70 @@ class TestMorseIndex:
         assert (tmp_path / "spectra.csv").read_text().startswith("i,eigenvalue")
 
 
+def _einsum_hessian_blocks(sys, loop, variations):
+    """The three-operand einsum assembly the matmul form replaced."""
+    lg = loop_mod._loop_geometry(sys, loop)
+    T = loop.period
+    vs = np.stack([v.vectors for v in variations])
+    dvs = np.stack([v.d() for v in variations])
+    taus = np.array([v.tau for v in variations])
+    vcov = dvs + np.einsum("nkab,na,dnb->dnk", lg.gamma, lg.xdot, vs)
+    om_v = np.einsum("nkj,dnj->dnk", lg.omega, vs)
+    p = np.einsum("dnk,nkl,nl->dn", vcov, lg.g, lg.xdot)
+    b1 = (np.einsum("cnk,nkl,dnl->cd", vcov, lg.g, vcov) / T
+          - 0.5 * np.einsum("cnk,nkl,dnl->cd", om_v, lg.g, vcov)
+          - 0.5 * np.einsum("dnk,nkl,cnl->cd", om_v, lg.g, vcov))
+    m1, m2 = lg.curvature_blocks
+    m1s = 0.5 * (m1 + np.swapaxes(m1, 1, 2))
+    m2s = 0.5 * (m2 + np.swapaxes(m2, 1, 2))
+    b2 = -(np.einsum("cna,nab,dnb->cd", vs, m1s, vs) / T
+           - np.einsum("cna,nab,dnb->cd", vs, m2s, vs))
+    b3 = -np.einsum("cn,dn,n->cd", p, p, 1.0 / lg.speed ** 2) / T
+    q = p / lg.speed[None, :] - taus[:, None] * lg.speed[None, :] / T
+    b4 = np.einsum("cn,dn->cd", q, q) / T
+    b = (b1 + b2 + b3 + b4) / loop.n_nodes
+    return 0.5 * (b + b.T)
+
+
+def _einsum_gram_matrix(sys, loop, variations):
+    lg = loop_mod._loop_geometry(sys, loop)
+    vs = np.stack([v.vectors for v in variations])
+    dvs = np.stack([v.d() for v in variations])
+    taus = np.array([v.tau for v in variations])
+    vcov = dvs + np.einsum("nkab,na,dnb->dnk", lg.gamma, lg.xdot, vs)
+    g = (np.einsum("cnk,nkl,dnl->cd", vs, lg.g, vs)
+         + np.einsum("cnk,nkl,dnl->cd", vcov, lg.g, vcov)) / loop.n_nodes
+    g += np.outer(taus, taus)
+    return 0.5 * (g + g.T)
+
+
+def _trig_loop():
+    sys = systems.random_trig_system(dim=3)
+    s = np.arange(64) / 64
+    nodes = np.stack([1.0 + 0.4 * np.cos(TWO_PI * s), 2.0 + 0.3 * np.sin(TWO_PI * s),
+                      0.5 + 0.2 * np.sin(2 * TWO_PI * s)], axis=1)
+    return sys, loop_mod.DiscreteLoop(nodes, 3.0)
+
+
+class TestIndexAssembly:
+    """The matmul assembly of the Hessian and Gram matrices against the
+    three-operand einsum forms it replaced."""
+
+    @pytest.mark.parametrize("case", ["sine_torus_k01", "random_trig_3d"])
+    def test_matches_einsum_forms(self, case, sine_sweep):
+        if case == "sine_torus_k01":
+            sys, fam = sine_sweep
+            loop, k = fam[0].loop, fam[0].k
+        else:
+            (sys, loop), k = _trig_loop(), K
+        basis = loop_mod.variation_basis(sys, loop, 8)
+        for new, old in ((loop_mod._hessian_blocks(sys, loop, k, basis),
+                          _einsum_hessian_blocks(sys, loop, basis)),
+                         (loop_mod.gram_matrix(sys, loop, basis),
+                          _einsum_gram_matrix(sys, loop, basis))):
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
 class TestManeBound:
     def test_zero_form_zero_bound(self):
         sys = systems.flat_torus(b=0.0)

@@ -228,6 +228,99 @@ class TestContinuation:
         assert solve.continue_in_k(torus, torus_record, []) == []
 
 
+def _counting_integrators(monkeypatch):
+    """Spy on the integrators ``solve`` calls; returns the call log."""
+    calls = []
+    plain, variational = solve.integrate, solve.integrate_variational
+
+    def counted_plain(*args, **kwargs):
+        calls.append("plain")
+        return plain(*args, **kwargs)
+
+    def counted_variational(*args, **kwargs):
+        calls.append("variational")
+        return variational(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "integrate", counted_plain)
+    monkeypatch.setattr(solve, "integrate_variational", counted_variational)
+    return calls
+
+
+class TestCollocationCorrector:
+    def test_matches_shoot_from_same_predictor(self, sine_sweep):
+        sys, fam = sine_sweep
+        prev, k = fam[1], 0.5
+        col = solve._collocation_record(sys, k, prev.loop.nodes, prev.period, 1e-12, 128, 16)
+        st0 = prev.orbit.state(0)
+        v0 = st0.v * (np.sqrt(2.0 * k) / sys.norm(st0.x, st0.v))
+        sh = solve.shoot(sys, k, flow.PhaseState(st0.x, v0), prev.period,
+                         n_nodes=128, mode_count=16)
+        assert col.method == "collocation" and sh.method == "shoot"
+        assert col.certified and sh.certified
+        assert abs(col.period - sh.period) < 1e-10
+        assert col.index == sh.index == 1
+        assert col.index_report.near_zero == sh.index_report.near_zero
+
+    def test_continuation_integrates_once_per_record(self, sine_sweep, monkeypatch):
+        sys, fam = sine_sweep
+        calls = _counting_integrators(monkeypatch)
+        out = solve.continue_in_k(sys, fam[0], [0.25, 0.5, 1.0, 2.0],
+                                  n_nodes=128, mode_count=16)
+        assert [rec.method for rec in out] == ["collocation"] * 4
+        assert all(rec.certified and rec.index == 1 for rec in out)
+        assert calls == ["plain"] * 4
+
+    def test_polish_runs_no_variational_integration(self, torus, monkeypatch):
+        calls = _counting_integrators(monkeypatch)
+        seed = solve.orbit_seed_loop(torus, 0.5, (1.0, 1.0), n_nodes=24, radius_scale=0.5)
+        out = solve.gradient_search(torus, 0.5, seed,
+                                    schedule={"n_nodes": 128, "mode_count": 16})
+        assert out.method == "gradient_search" and out.certified
+        assert calls == ["plain"]
+
+    def test_failed_collocation_falls_back_to_shoot(self, torus, torus_record, monkeypatch):
+        monkeypatch.setattr(solve, "_collocate", lambda *args: None)
+        calls = _counting_integrators(monkeypatch)
+        out = solve.continue_in_k(torus, torus_record, [0.25, 1.0],
+                                  n_nodes=128, mode_count=8)
+        assert [rec.method for rec in out] == ["shoot", "shoot"]
+        assert all(rec.certified and rec.index == 1 for rec in out)
+        assert all(rec.period == pytest.approx(TWO_PI, abs=1e-8) for rec in out)
+        assert "variational" in calls
+
+    def test_winding_record_takes_shoot_path(self, monkeypatch):
+        sys = systems.flat_torus(b=0.0)
+        rec = solve.shoot(sys, 0.5, flow.PhaseState([0.0, 1.0], [1.0, 0.0]), TWO_PI,
+                          winding_target=(1, 0), n_nodes=64, mode_count=4)
+        assert isinstance(rec, solve.OrbitRecord) and tuple(rec.winding) == (1, 0)
+
+        def no_collocation(*args):
+            raise AssertionError("collocation ran on a winding loop")
+
+        monkeypatch.setattr(solve, "_collocate", no_collocation)
+        out = solve.continue_in_k(sys, rec, [1.0], n_nodes=64, mode_count=4)
+        assert out[0].method == "shoot"
+        assert out[0].period == pytest.approx(TWO_PI / np.sqrt(2.0), abs=1e-8)
+
+    def test_unresolved_loop_doubles_nodes_to_the_cap(self, monkeypatch):
+        sys = systems.sine_field_torus()
+        s = np.arange(64) / 64
+        loop = loop_mod.DiscreteLoop(
+            np.stack([1.0 + 0.5 * np.cos(TWO_PI * s), 1.0 - 0.5 * np.sin(TWO_PI * s)], axis=1),
+            5.3)
+        grids = []
+        newton = solve._damped_newton
+
+        def recorded(residual, jacobian, u, *args, **kwargs):
+            grids.append((u.size - 1) // 2)
+            return newton(residual, jacobian, u, *args, **kwargs)
+
+        monkeypatch.setattr(solve, "_damped_newton", recorded)
+        monkeypatch.setattr(solve, "COLLOCATION_TAIL", 0.0)
+        assert solve._collocate(sys, 0.5, loop.nodes, loop.period) is None
+        assert grids == [32, 64, 128, 256]
+
+
 class TestCertify:
     def test_optimal_case_margin(self, torus_record):
         checks = torus_record.checks
