@@ -166,11 +166,6 @@ class _LoopGeometry:
         return self
 
     @cached_property
-    def g_xdot(self):
-        """g xdot at each node (the lowered velocity)."""
-        return np.einsum("nkl,nl->nk", self.g, self.xdot)
-
-    @cached_property
     def gamma_xdot(self):
         """Gamma(xdot, .) at each node: V -> V' - dV/ds is gamma_xdot @ V."""
         return np.einsum("nkab,na->nkb", self.gamma, self.xdot)
@@ -323,7 +318,7 @@ def _hessian_blocks(sys, loop, k, variations):
     vs, vcov, taus = _stack_variations(lg, variations)
     g_vcov = np.einsum("nkl,dnl->dnk", lg.g, vcov)
     om_v = np.einsum("nkj,dnj->dnk", lg.omega, vs)
-    p = np.einsum("dnk,nk->dn", vcov, lg.g_xdot)
+    p = np.einsum("dnk,nk->dn", vcov, np.einsum("nkl,nl->nk", lg.g, lg.xdot))
 
     # kinetic + magnetic first-order term (symmetrized below)
     b1 = _pair(vcov, g_vcov) / T - _pair(om_v, g_vcov)

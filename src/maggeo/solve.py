@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import geom, loop as loop_mod, magcurv
-from .errors import SingularJacobianError
+from .errors import NotCriticalError, SingularJacobianError
 from .flow import PhaseState, integrate, integrate_variational
 from .io import dump_csv, dump_json
 
@@ -42,13 +42,9 @@ CLOSURE_GATE = 1e-7
 BONNET_MYERS_SLACK = 1e-3
 T_FLOOR = 1e-3
 
-# Fourier collocation: nodes of the first solve, the cap on doubling them
-# (each Newton step is a dense least-squares solve of size N n + 1, whose
-# cost grows as N^3), and the largest relative amplitude allowed in the top
-# quarter of the resolved Fourier modes of a solved loop
+# nodes of a Fourier collocation solve (each Newton step is a dense
+# least-squares solve of size N n + 1, whose cost grows as N^3)
 COLLOCATION_NODES = 32
-COLLOCATION_MAX_NODES = 256
-COLLOCATION_TAIL = 1e-8
 
 
 @dataclass
@@ -528,45 +524,40 @@ def _resample(nodes, n_nodes):
     return np.fft.irfft(out, n=n_nodes, axis=0) * (n_nodes / len(nodes))
 
 
-def _fourier_tail(nodes):
-    """Largest amplitude in the top quarter of the resolved Fourier modes of
-    periodic nodes, relative to the largest non-constant mode."""
-    n_nodes = len(nodes)
-    amp = np.linalg.norm(np.fft.rfft(nodes, axis=0), axis=1)
-    top = amp[(3 * n_nodes) // 8:(n_nodes + 1) // 2]
-    return float(np.max(top) / np.max(amp[1:]))
+def _solve_closing(sys, k, nodes, T, max_iter):
+    """Damped Newton iteration on the closing conditions from the loop
+    (nodes, T), with no residual target: it stops when no step lowers the
+    residual any more, at roundoff on a converging seed.
+
+    Returns (loop, eta, nodes, T, (|r|, iterations, path)): the solved
+    ``DiscreteLoop`` and its eta norm (None and inf where the solution is
+    no valid loop), the solved nodes and period, and the Newton report.
+    """
+    fvec = _closing_system(sys, k)
+    u0 = np.concatenate([nodes.ravel(), [np.log(T)]])
+    u, res_norm, iterations, path, _ = _damped_newton(
+        fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0, max_iter)
+    nodes, T = u[:-1].reshape(nodes.shape), float(np.exp(u[-1]))
+    try:
+        solved = loop_mod.DiscreteLoop(nodes, T)
+        eta = loop_mod.eta_norm(sys, solved, k)
+    except ValueError:
+        solved, eta = None, float("inf")
+    return solved, eta, nodes, T, (res_norm, iterations, path)
 
 
 def _collocate(sys, k, nodes, T):
     """A closed orbit with energy k near the contractible loop (nodes, T), by
-    Fourier collocation; returns its (nodes, T), or None.
-
-    The loop is resampled to ``COLLOCATION_NODES`` nodes and its closing
-    conditions are iterated to roundoff.  The solve fails when its loop
-    misses the eta gate of the descent search.  While the top Fourier modes
-    of the solution exceed ``COLLOCATION_TAIL`` the nodes are doubled and
-    the solve repeated from the resampled solution, up to
-    ``COLLOCATION_MAX_NODES``; a loop still unresolved there fails too.
+    Fourier collocation: the loop resampled to ``COLLOCATION_NODES`` nodes
+    with its closing conditions solved to roundoff.  Returns the solved
+    loop, or None when it misses the eta gate of the descent search.  A
+    loop the nodes do not resolve fails later, at the closure or eta gate
+    of its integrated record.
     """
-    fvec = _closing_system(sys, k)
-    n_nodes = COLLOCATION_NODES
-    while n_nodes <= COLLOCATION_MAX_NODES:
-        u0 = np.concatenate([_resample(nodes, n_nodes).ravel(), [np.log(T)]])
-        u, _, _, _, stop = _damped_newton(
-            fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0, 30)
-        if stop == "singular":
-            return None
-        nodes, T = u[:-1].reshape(n_nodes, sys.dim), float(np.exp(u[-1]))
-        try:
-            solved = loop_mod.DiscreteLoop(nodes, T)
-            if loop_mod.eta_norm(sys, solved, k) >= loop_mod.eta_gate(solved):
-                return None
-        except ValueError:
-            return None
-        if _fourier_tail(nodes) <= COLLOCATION_TAIL:
-            return nodes, T
-        n_nodes *= 2
-    return None
+    solved, eta, *_ = _solve_closing(sys, k, _resample(nodes, COLLOCATION_NODES), T, 30)
+    if solved is None or eta >= loop_mod.eta_gate(solved):
+        return None
+    return solved
 
 
 def _loop_start(sys, k, nodes, T):
@@ -584,8 +575,13 @@ def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):
     solved = _collocate(sys, k, nodes, T)
     if solved is None:
         return None
-    x0, v0 = _loop_start(sys, k, *solved)
-    record = _build_record(sys, k, x0, v0, solved[1], tol, n_nodes, mode_count, True)
+    x0, v0 = _loop_start(sys, k, solved.nodes, solved.period)
+    try:
+        record = _build_record(sys, k, x0, v0, solved.period, tol, n_nodes, mode_count, True)
+    except NotCriticalError:
+        # the integrated orbit of a loop the nodes do not resolve misses the
+        # eta gate, which the index checks first
+        return None
     if record is None or not (record.checks["closure_residual_ok"]
                               and record.checks["eta_gate_ok"]):
         return None
@@ -599,15 +595,8 @@ def _lm_search(sys, k, loop0, cfg):
     gate = cfg["gate"] if cfg["gate"] is not None else loop_mod.eta_gate(loop0)
     if loop_mod.eta_norm(sys, loop0, k) < gate:
         return _polish_loop(sys, k, loop0, cfg) if cfg["polish"] else loop0
-    fvec = _closing_system(sys, k)
-    u0 = np.concatenate([loop0.nodes.ravel(), [np.log(loop0.period)]])
-    # no residual target: the iteration stops when no step lowers the
-    # residual any more, at roundoff on a converging seed
-    u, res_norm, iterations, path, _ = _damped_newton(
-        fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0,
-        int(cfg["max_iter"]))
-    T = float(np.exp(u[-1]))
-    nodes = u[:-1].reshape(loop0.nodes.shape)
+    final, eta_res, nodes, T, (res_norm, iterations, path) = _solve_closing(
+        sys, k, loop0.nodes, loop0.period, int(cfg["max_iter"]))
     period_trace = np.exp(path).tolist()
 
     spread = float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
@@ -616,11 +605,6 @@ def _lm_search(sys, k, loop0, cfg):
         return SearchFailure(reason="period_collapse", residual=res_norm,
                              iterations=iterations, period_trace=period_trace,
                              detail="loop shrinking toward constant")
-    try:
-        final = loop_mod.DiscreteLoop(nodes, T, winding=loop0.winding.copy())
-        eta_res = loop_mod.eta_norm(sys, final, k)
-    except ValueError:
-        final, eta_res = None, float("inf")
     if final is not None and eta_res < gate:
         if cfg["polish"]:
             return _polish_loop(sys, k, final, cfg)

@@ -302,23 +302,16 @@ class TestCollocationCorrector:
         assert out[0].method == "shoot"
         assert out[0].period == pytest.approx(TWO_PI / np.sqrt(2.0), abs=1e-8)
 
-    def test_unresolved_loop_doubles_nodes_to_the_cap(self, monkeypatch):
-        sys = systems.sine_field_torus()
-        s = np.arange(64) / 64
-        loop = loop_mod.DiscreteLoop(
-            np.stack([1.0 + 0.5 * np.cos(TWO_PI * s), 1.0 - 0.5 * np.sin(TWO_PI * s)], axis=1),
-            5.3)
-        grids = []
-        newton = solve._damped_newton
-
-        def recorded(residual, jacobian, u, *args, **kwargs):
-            grids.append((u.size - 1) // 2)
-            return newton(residual, jacobian, u, *args, **kwargs)
-
-        monkeypatch.setattr(solve, "_damped_newton", recorded)
-        monkeypatch.setattr(solve, "COLLOCATION_TAIL", 0.0)
-        assert solve._collocate(sys, 0.5, loop.nodes, loop.period) is None
-        assert grids == [32, 64, 128, 256]
+    def test_unresolved_loop_falls_back_to_shoot(self, sine_sweep, monkeypatch):
+        # 8 nodes do not resolve these loops: the integrated orbit of the
+        # collocation solution misses the closure and eta gates
+        sys, fam = sine_sweep
+        monkeypatch.setattr(solve, "COLLOCATION_NODES", 8)
+        out = solve.continue_in_k(sys, fam[2], [1.0, 2.0], n_nodes=128, mode_count=16)
+        assert [rec.method for rec in out] == ["shoot", "shoot"]
+        assert all(rec.certified and rec.index == 1 for rec in out)
+        for rec, ref in zip(out, fam[3:]):
+            assert abs(rec.period - ref.period) < 1e-10
 
 
 class TestCertify:
