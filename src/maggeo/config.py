@@ -20,7 +20,9 @@ a comment.  User-defined systems give metric entries ``g11, g12, ...``,
 two-form entries ``sigma12, ...`` and optional primitive entries
 ``theta1, ...`` as arithmetic expressions in x1..xn; expression systems
 get analytic derivative callbacks by symbolic differentiation unless
-``derivatives = fd`` is requested.  Like every field callback, those of an
+``derivatives = fd`` is requested (with an optional ``fd_step``).  A
+``[system]``, ``[task]`` or ``[output]`` key that the run would not read is
+reported as an unknown key.  Like every field callback, those of an
 expression system evaluate a point or a stack of points in one call: each
 entry is one numpy evaluation of its expression over the stack.
 """
@@ -146,11 +148,9 @@ def _build_expression_system(sysc, problems):
     def grab(prefix, pairs):
         out = {}
         for key, raw in sysc.items():
-            if not key.startswith(prefix):
+            if _entry_prefix(key) != prefix:
                 continue
             tail = key[len(prefix):]
-            if not tail.isdigit():
-                continue
             try:
                 expr = parse_expression(raw)
             except ParseError as exc:
@@ -234,7 +234,33 @@ def _build_expression_system(sysc, problems):
                          dtwo_form=dtwo_form, **kwargs)
 
 
+_BUILTIN_PARAMETERS = ("b", "base", "amp")
+_BUILTIN_KEYS = ("builtin",) + _BUILTIN_PARAMETERS
+_EXPRESSION_KEYS = ("dimension", "derivatives", "lattice")
+_ENTRY_PREFIXES = ("g", "sigma", "theta")
+
+
+def _entry_prefix(key):
+    """The field of an expression-system entry key like g12, sigma13 or
+    theta2, or None."""
+    for prefix in _ENTRY_PREFIXES:
+        if key.startswith(prefix) and key[len(prefix):].isdigit():
+            return prefix
+    return None
+
+
+def _unknown_system_keys(sysc):
+    """The [system] keys the system build would not read, sorted."""
+    if "builtin" in sysc:
+        return sorted(set(sysc) - set(_BUILTIN_KEYS))
+    known = set(_EXPRESSION_KEYS)
+    if sysc.get("derivatives") == "fd":
+        known.add("fd_step")
+    return sorted(key for key in sysc if key not in known and _entry_prefix(key) is None)
+
+
 def _build_system(sysc, problems):
+    problems.extend(f"system.{key}: unknown key" for key in _unknown_system_keys(sysc))
     if "builtin" in sysc:
         name = sysc["builtin"]
         if name not in BUILTINS:
@@ -242,7 +268,7 @@ def _build_system(sysc, problems):
                             f"(available: {sorted(BUILTINS)})")
             return None
         kwargs = {}
-        for key in ("b", "base", "amp"):
+        for key in _BUILTIN_PARAMETERS:
             if key in sysc:
                 try:
                     kwargs[key] = _as_float(sysc[key])

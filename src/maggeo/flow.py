@@ -89,16 +89,6 @@ class Orbit:
         n = self.dim
         return PhaseState(self.states[i, :n], self.states[i, n:])
 
-    def eval(self, t):
-        """Dense evaluation; returns (PhaseState, chart swap count)."""
-        t = float(t)
-        for seg in self.segments:
-            if seg.t0 - 1e-12 <= t <= seg.t1 + 1e-12:
-                y = seg.sol(np.clip(t, seg.t0, seg.t1))
-                n = self.dim
-                return PhaseState(y[:n], y[n:]), seg.swaps
-        raise ValueError(f"time {t} outside orbit range [0, {self.period}]")
-
     def to_csv(self, path):
         n = self.dim
         header = (["t"] + [f"x{i+1}" for i in range(n)]
@@ -122,6 +112,21 @@ class Orbit:
         if path:
             dump_json(path, payload)
         return payload
+
+
+def dense_states(segments, ts):
+    """States (m, 2n) and chart swap counts (m,) of the dense output at the
+    increasing times ts.  A time belongs to the first segment that has not
+    ended more than 1e-12 before it (the last one past the end), and each
+    segment's solution is evaluated once on all of its times."""
+    ts = np.asarray(ts, dtype=float)
+    ends = np.array([seg.t1 for seg in segments]) + 1e-12
+    owner = np.minimum(np.searchsorted(ends, ts), len(segments) - 1)
+    blocks = [(seg, ts[owner == i]) for i, seg in enumerate(segments)]
+    states = np.concatenate([seg.sol(np.clip(t, seg.t0, seg.t1)).T
+                             for seg, t in blocks if len(t)])
+    swaps = np.concatenate([np.full(len(t), seg.swaps) for seg, t in blocks])
+    return states, swaps
 
 
 def _chart_exit_event(sys):
@@ -186,15 +191,7 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
         swaps += 1
 
     ts = np.linspace(0.0, t_end, samples)
-    states = np.empty((samples, 2 * n))
-    swap_counts = np.empty(samples, dtype=int)
-    seg_idx = 0
-    for i, ti in enumerate(ts):
-        while seg_idx + 1 < len(segments) and ti > segments[seg_idx].t1 + 1e-12:
-            seg_idx += 1
-        seg = segments[seg_idx]
-        states[i] = seg.sol(np.clip(ti, seg.t0, seg.t1))
-        swap_counts[i] = seg.swaps
+    states, swap_counts = dense_states(segments, ts)
 
     wrapped = sys.wrap(states[:, :n])
 

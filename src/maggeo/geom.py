@@ -455,18 +455,15 @@ def orthonormal_completion(sys, x, v):
     return np.column_stack(frame)
 
 
-def coordinate_frame(sys, x, order=None):
+def coordinate_frame(sys, x):
     """g-orthonormalize the coordinate basis at x (pivoted, deterministic).
 
     Returns an (n, n) matrix whose columns form a g-orthonormal frame.
-    ``order`` overrides the pivot order (used to probe frame invariance).
     """
     g = PointGeometry.of(sys, x).g
     n = g.shape[0]
-    if order is None:
-        order = range(n)
     frame = []
-    for idx in order:
+    for idx in range(n):
         r = np.eye(n)[idx].astype(float)
         for e in frame:
             r -= (r @ g @ e) * e

@@ -31,6 +31,8 @@ MIN_NODES = 8
 ETA_GATE_SCALE = 1e-5
 # Relative spectral threshold separating negative from near-zero modes.
 INDEX_EPSILON_SCALE = 1e-7
+# Gauss-Legendre nodes of the radial quadrature of the capping-disk integral.
+DISK_RADIAL_NODES = 24
 
 
 def spectral_derivative(arr, axis=0):
@@ -191,21 +193,20 @@ def _loop_geometry(sys, loop):
 
 def loop_from_orbit(orbit, n_nodes=256):
     """Resample a closed orbit onto a uniform loop grid."""
+    from .flow import dense_states
+
     if orbit.meta.get("chart_swaps_total", 0) != 0:
         raise ValueError("loop resampling across chart transitions is unsupported")
-    dim = orbit.dim
-    nodes = np.empty((n_nodes, dim))
-    for j in range(n_nodes):
-        st, _ = orbit.eval(orbit.period * j / n_nodes)
-        nodes[j] = st.x
-    return DiscreteLoop(nodes=nodes, period=orbit.period, winding=orbit.winding.copy())
+    states, _ = dense_states(orbit.segments, orbit.period * np.arange(n_nodes) / n_nodes)
+    return DiscreteLoop(nodes=states[:, :orbit.dim], period=orbit.period,
+                        winding=orbit.winding.copy())
 
 
 # ---------------------------------------------------------------------------
 # action and action form
 
 
-def _magnetic_term(sys, loop, disk_radial=24):
+def _magnetic_term(sys, loop):
     lg = _loop_geometry(sys, loop)
     if sys.primitive is not None:
         return float(np.einsum("ni,ni->", lg.geometry.theta, lg.xdot)) / loop.n_nodes
@@ -214,7 +215,7 @@ def _magnetic_term(sys, loop, disk_radial=24):
     # capping-disk integral over the cone from the loop centroid
     center = loop.nodes.mean(axis=0)
     rel = loop.nodes - center
-    nodes_r, weights_r = np.polynomial.legendre.leggauss(disk_radial)
+    nodes_r, weights_r = np.polynomial.legendre.leggauss(DISK_RADIAL_NODES)
     nodes_r = 0.5 * (nodes_r + 1.0)
     weights_r = 0.5 * weights_r
     sig = geom.PointGeometry(sys, center + nodes_r[:, None, None] * rel).sigma
@@ -222,7 +223,7 @@ def _magnetic_term(sys, loop, disk_radial=24):
     return float(np.sum(weights_r * nodes_r * flux)) / loop.n_nodes
 
 
-def action(sys, loop, k, disk_radial=24):
+def action(sys, loop, k):
     """Free-period action S_k = int (|gamma'|^2/2 + k) dt + magnetic term.
 
     The magnetic term is the line integral of the primitive along the
@@ -233,7 +234,7 @@ def action(sys, loop, k, disk_radial=24):
         raise ValueError("energy k must be positive")
     lg = _loop_geometry(sys, loop)
     kinetic = 0.5 * float(np.mean(lg.speed ** 2)) / loop.period
-    return kinetic + k * loop.period + _magnetic_term(sys, loop, disk_radial)
+    return kinetic + k * loop.period + _magnetic_term(sys, loop)
 
 
 def _closing_terms(pg, xdot, xddot, T, k):
@@ -278,8 +279,8 @@ def eta_gate(loop):
     return ETA_GATE_SCALE * (1.0 + loop.period)
 
 
-def _require_critical(sys, loop, k, gate=None):
-    g = gate if gate is not None else eta_gate(loop)
+def _require_critical(sys, loop, k):
+    g = eta_gate(loop)
     res = eta_norm(sys, loop, k)
     if res > g:
         raise NotCriticalError(f"not at a critical loop: |eta| = {res:.3e} > gate {g:.3e}")
@@ -337,7 +338,7 @@ def _hessian_blocks(sys, loop, k, variations):
     return 0.5 * (b + b.T)
 
 
-def hessian_form(sys, loop, k, variation, gate=None):
+def hessian_form(sys, loop, k, variation):
     """Q(V, tau): quadrature of the second variation at a numerical zero:
 
         int [<V' - Om V, V'> - <R(V, u)u - (D_V Om)(u), V>] dt
@@ -345,13 +346,13 @@ def hessian_form(sys, loop, k, variation, gate=None):
 
     with u = gamma' and V' the covariant derivative of V along the loop.
     """
-    _require_critical(sys, loop, k, gate)
+    _require_critical(sys, loop, k)
     _loop_geometry(sys, loop).require_immersed()
     b = _hessian_blocks(sys, loop, k, [variation])
     return float(b[0, 0])
 
 
-def hessian_form_curvature(sys, loop, k, variation, gate=None):
+def hessian_form_curvature(sys, loop, k, variation):
     """Q(V, tau) through the curvature expression:
 
         int |(V')_2 - (1/2)(Om(V_1) + Om(V))_2|^2 dt
@@ -362,7 +363,7 @@ def hessian_form_curvature(sys, loop, k, variation, gate=None):
     quadratic form, with the energy read pointwise from the loop speed
     (identical to the nominal k on the zero set).
     """
-    _require_critical(sys, loop, k, gate)
+    _require_critical(sys, loop, k)
     lg = _loop_geometry(sys, loop).require_immersed()
     T = loop.period
     v = np.asarray(variation.vectors, dtype=float)
@@ -515,19 +516,18 @@ class IndexReport:
                  [[i, float(e)] for i, e in enumerate(self.eigenvalues)])
 
 
-def loop_frame(sys, loop, order=None):
+def loop_frame(sys, loop):
     """Periodic g-orthonormal frame along the loop (Gram-Schmidt of the
     coordinate basis with a fixed pivot order), plus its s-derivative."""
     pg = _loop_geometry(sys, loop).geometry
-    frames = np.array([geom.coordinate_frame(sys, pg[i], order=order)
-                       for i in range(loop.n_nodes)])
+    frames = np.array([geom.coordinate_frame(sys, pg[i]) for i in range(loop.n_nodes)])
     dframes = spectral_derivative(frames)
     return frames, dframes
 
 
-def variation_basis(sys, loop, mode_count, order=None):
+def variation_basis(sys, loop, mode_count):
     """Fourier modes times frame fields, plus the pure period direction."""
-    frames, dframes = loop_frame(sys, loop, order=order)
+    frames, dframes = loop_frame(sys, loop)
     s = loop.s
     variations = []
     for d in range(loop.dim):
@@ -558,7 +558,7 @@ def gram_matrix(sys, loop, variations):
     return 0.5 * (g + g.T)
 
 
-def morse_index(sys, loop, k, mode_count=32, gate=None, frame_order=None):
+def morse_index(sys, loop, k, mode_count=32):
     """Morse index of a numerical zero of the action form.
 
     Projects the Hessian onto Fourier modes of a periodic orthonormal
@@ -568,9 +568,9 @@ def morse_index(sys, loop, k, mode_count=32, gate=None, frame_order=None):
     reparametrization direction always contributes one) are reported
     separately and never counted as negative.
     """
-    _require_critical(sys, loop, k, gate)
+    _require_critical(sys, loop, k)
     _loop_geometry(sys, loop).require_immersed()
-    basis = variation_basis(sys, loop, mode_count, order=frame_order)
+    basis = variation_basis(sys, loop, mode_count)
     b = _hessian_blocks(sys, loop, k, basis)
     g = gram_matrix(sys, loop, basis)
     eigvals = scipy.linalg.eigh(b, g, eigvals_only=True)

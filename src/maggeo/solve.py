@@ -12,16 +12,16 @@ together with its monodromy matrix (the variational equations; Hairer,
 Norsett & Wanner, Solving ODEs I), so one Newton step costs one
 integration when its full step is accepted.
 
-Fourier collocation (``_collocate``) starts from a loop.  It solves the
-discretized closing conditions of the loop with the same damped
-least-squares Newton step (``_damped_newton``) on their exact Jacobian:
-the Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB)
-plus pointwise blocks in Gamma, dGamma, Omega and dOmega at the nodes.  It
-integrates nothing, and it corrects every loop that is already close to
-an orbit: the previous orbit in ``continue_in_k``, and the loop of the
-descent search (``gradient_search``), which solves the same conditions
-from a coarse seed.  Both correctors end in ``_build_record``, which
-integrates the orbit once from its start state and certifies it.
+Fourier collocation (``_solve_closing``) starts from a loop.  It resamples
+the loop to ``COLLOCATION_NODES`` nodes and solves its discretized closing
+conditions (eta = 0) with the same damped least-squares Newton step
+(``_damped_newton``) on their exact Jacobian: the Fourier differentiation
+matrix (Trefethen, Spectral Methods in MATLAB) plus pointwise blocks in
+Gamma, dGamma, Omega and dOmega at the nodes.  It integrates nothing.  The
+descent search (``gradient_search``) runs it once from a seed loop, and
+continuation (``continue_in_k``) once from the previous orbit's loop.  Both
+correctors end in ``_build_record``, which integrates the orbit once from
+its start state and certifies it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ T_FLOOR = 1e-3
 # nodes of a Fourier collocation solve (each Newton step is a dense
 # least-squares solve of size N n + 1, whose cost grows as N^3)
 COLLOCATION_NODES = 32
+# Newton iteration caps of a collocation solve: a descent seed may start far
+# from an orbit, a continuation predictor starts next to one
+DESCENT_MAX_ITER = 400
+PREDICTOR_MAX_ITER = 30
 
 
 @dataclass
@@ -370,12 +374,13 @@ def continue_in_k(sys, record, k_grid, tol=1e-12, n_nodes=512, mode_count=32):
     """Predictor-corrector continuation of a certified record over a k grid.
 
     The predictor is the previous orbit's loop with a secant period; the
-    corrector is Fourier collocation (``_collocation_record``), which
-    integrates nothing until the record is built.  A loop that winds, or a
-    collocation that fails, is corrected by ``shoot`` from the previous
-    initial condition with the velocity rescaled onto the new energy level,
-    retried with the kinetic period rescaling.  A fold (both shooting
-    correctors fail) truncates the family.
+    corrector is one Fourier collocation solve (``_collocation_record``),
+    which integrates nothing until the record is built.  A loop that winds,
+    or a collocation whose loop or integrated orbit misses a gate, is
+    corrected by ``shoot`` from the previous initial condition with the
+    velocity rescaled onto the new energy level, retried with the kinetic
+    period rescaling.  A fold (both shooting correctors fail) truncates the
+    family.
     """
     family = []
     prev = record
@@ -430,35 +435,53 @@ def family_to_csv(path, family):
 
 
 def gradient_search(sys, k, initial_loop, schedule=None):
-    """Search for a zero of the action form starting from a loop.
+    """Search for a zero of the action form starting from a contractible loop.
 
-    Solves the discretized closing conditions (nodal force balance in loop
-    units plus the energy constraint, with the period log-parametrized) by a
-    damped least-squares Newton iteration on their exact Jacobian, the same
-    step as ``shoot``'s, iterated to roundoff; being a root finder it
-    reaches zeros of any Morse index.  A success is polished by Fourier
-    collocation on a resolved grid (``_collocate``, the same conditions),
-    or by ``shoot`` when that fails, and then certified.  Degenerations
-    are classified honestly (period collapse or loop shrinking toward a
-    constant, a stalled vanishing sequence) and carry a period trace.
+    One Fourier collocation solve (``_solve_closing``): the seed is
+    resampled to ``COLLOCATION_NODES`` nodes and its closing conditions
+    (nodal force balance in loop units plus the energy constraint, with the
+    period log-parametrized) are solved by a damped least-squares Newton
+    iteration on their exact Jacobian, the same step as ``shoot``'s,
+    iterated to roundoff; being a root finder it reaches zeros of any Morse
+    index.  The solved loop's orbit is integrated and certified, or
+    corrected by ``shoot`` when it misses the closure or eta gate.
+    Degenerations are classified honestly (period collapse or loop
+    shrinking toward a constant, a stalled vanishing sequence) and carry a
+    period trace.  Returns an ``OrbitRecord`` or a ``SearchFailure``.
 
-    ``schedule`` overrides the keys of the defaults below; ``max_iter`` caps
-    the Newton iterations.  An unknown key raises ``ValueError``.
+    ``schedule`` overrides ``n_nodes`` and ``mode_count`` of the record
+    (defaults 512 and 32); any other key raises ``ValueError``.
     """
-    cfg = {
-        "max_iter": 400,
-        "gate": None,
-        "t_floor": T_FLOOR,
-        "polish": True,
-        "n_nodes": 512,
-        "mode_count": 32,
-    }
+    cfg = {"n_nodes": 512, "mode_count": 32}
     schedule = schedule or {}
     unknown = sorted(set(schedule) - set(cfg))
     if unknown:
         raise ValueError(f"unknown gradient_search schedule keys: {unknown}")
     cfg.update(schedule)
-    return _lm_search(sys, k, initial_loop, cfg)
+    if np.any(initial_loop.winding):
+        raise ValueError("descent search supports contractible seed loops only")
+
+    solved, eta, nodes, T, (res_norm, iterations, path) = _solve_closing(
+        sys, k, initial_loop.nodes, initial_loop.period, DESCENT_MAX_ITER)
+    period_trace = np.exp(path).tolist()
+    seed = initial_loop.nodes
+    spread = float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
+    spread0 = float(np.max(np.linalg.norm(seed - seed.mean(axis=0), axis=1)))
+    if T < T_FLOOR or spread <= 1e-3 * spread0:
+        return SearchFailure(reason="period_collapse", residual=res_norm,
+                             iterations=iterations, period_trace=period_trace,
+                             detail="loop shrinking toward constant")
+    if solved is None:
+        return SearchFailure(reason="stalled", residual=float(eta),
+                             iterations=iterations, period_trace=period_trace,
+                             detail="vanishing sequence: residual stalled above the gate")
+    rec = _loop_record(sys, k, solved, 1e-12, cfg["n_nodes"], cfg["mode_count"])
+    if rec is None:
+        rec = shoot(sys, k, PhaseState(*_loop_start(sys, k, nodes, T)), T,
+                    n_nodes=cfg["n_nodes"], mode_count=cfg["mode_count"])
+    if isinstance(rec, OrbitRecord):
+        rec.method = "gradient_search"
+    return rec
 
 
 def _closing_state(sys, u):
@@ -525,15 +548,20 @@ def _resample(nodes, n_nodes):
 
 
 def _solve_closing(sys, k, nodes, T, max_iter):
-    """Damped Newton iteration on the closing conditions from the loop
-    (nodes, T), with no residual target: it stops when no step lowers the
-    residual any more, at roundoff on a converging seed.
+    """One Fourier collocation solve from the periodic loop (nodes, T): the
+    nodes resampled to ``COLLOCATION_NODES`` and a damped Newton iteration
+    on their closing conditions with no residual target, which stops when
+    no step lowers the residual any more, at roundoff on a converging seed.
 
     Returns (loop, eta, nodes, T, (|r|, iterations, path)): the solved
-    ``DiscreteLoop`` and its eta norm (None and inf where the solution is
-    no valid loop), the solved nodes and period, and the Newton report.
+    ``DiscreteLoop`` (None where the solution is no valid loop or misses
+    the eta gate) and its eta norm (inf for no valid loop), the solved
+    nodes and period, and the Newton report.  A loop the nodes do not
+    resolve fails later, at the closure or eta gate of its integrated
+    record.
     """
     fvec = _closing_system(sys, k)
+    nodes = _resample(nodes, COLLOCATION_NODES)
     u0 = np.concatenate([nodes.ravel(), [np.log(T)]])
     u, res_norm, iterations, path, _ = _damped_newton(
         fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0, max_iter)
@@ -543,21 +571,9 @@ def _solve_closing(sys, k, nodes, T, max_iter):
         eta = loop_mod.eta_norm(sys, solved, k)
     except ValueError:
         solved, eta = None, float("inf")
+    if solved is not None and eta >= loop_mod.eta_gate(solved):
+        solved = None
     return solved, eta, nodes, T, (res_norm, iterations, path)
-
-
-def _collocate(sys, k, nodes, T):
-    """A closed orbit with energy k near the contractible loop (nodes, T), by
-    Fourier collocation: the loop resampled to ``COLLOCATION_NODES`` nodes
-    with its closing conditions solved to roundoff.  Returns the solved
-    loop, or None when it misses the eta gate of the descent search.  A
-    loop the nodes do not resolve fails later, at the closure or eta gate
-    of its integrated record.
-    """
-    solved, eta, *_ = _solve_closing(sys, k, _resample(nodes, COLLOCATION_NODES), T, 30)
-    if solved is None or eta >= loop_mod.eta_gate(solved):
-        return None
-    return solved
 
 
 def _loop_start(sys, k, nodes, T):
@@ -567,17 +583,13 @@ def _loop_start(sys, k, nodes, T):
     return nodes[0], v0 * (np.sqrt(2.0 * k) / sys.norm(nodes[0], v0))
 
 
-def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):
-    """The certified record, with method "collocation", of the orbit that
-    ``_collocate`` finds from the contractible loop (nodes, T); None when
-    collocation fails, the orbit swaps charts from both ends, or its
-    integration misses the closure or eta gate."""
-    solved = _collocate(sys, k, nodes, T)
-    if solved is None:
-        return None
-    x0, v0 = _loop_start(sys, k, solved.nodes, solved.period)
+def _loop_record(sys, k, loop, tol, n_nodes, mode_count):
+    """The certified record of the orbit integrated from the start of the
+    solved loop; None when the orbit swaps charts from both ends or misses
+    the closure or eta gate."""
+    x0, v0 = _loop_start(sys, k, loop.nodes, loop.period)
     try:
-        record = _build_record(sys, k, x0, v0, solved.period, tol, n_nodes, mode_count, True)
+        record = _build_record(sys, k, x0, v0, loop.period, tol, n_nodes, mode_count, True)
     except NotCriticalError:
         # the integrated orbit of a loop the nodes do not resolve misses the
         # eta gate, which the index checks first
@@ -585,46 +597,19 @@ def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):
     if record is None or not (record.checks["closure_residual_ok"]
                               and record.checks["eta_gate_ok"]):
         return None
-    record.method = "collocation"
     return record
 
 
-def _lm_search(sys, k, loop0, cfg):
-    if np.any(loop0.winding):
-        raise ValueError("descent search supports contractible seed loops only")
-    gate = cfg["gate"] if cfg["gate"] is not None else loop_mod.eta_gate(loop0)
-    if loop_mod.eta_norm(sys, loop0, k) < gate:
-        return _polish_loop(sys, k, loop0, cfg) if cfg["polish"] else loop0
-    final, eta_res, nodes, T, (res_norm, iterations, path) = _solve_closing(
-        sys, k, loop0.nodes, loop0.period, int(cfg["max_iter"]))
-    period_trace = np.exp(path).tolist()
-
-    spread = float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
-    spread0 = float(np.max(np.linalg.norm(loop0.nodes - loop0.nodes.mean(axis=0), axis=1)))
-    if T < cfg["t_floor"] or spread <= 1e-3 * spread0:
-        return SearchFailure(reason="period_collapse", residual=res_norm,
-                             iterations=iterations, period_trace=period_trace,
-                             detail="loop shrinking toward constant")
-    if final is not None and eta_res < gate:
-        if cfg["polish"]:
-            return _polish_loop(sys, k, final, cfg)
-        return final
-    return SearchFailure(reason="stalled", residual=float(eta_res),
-                         iterations=iterations, period_trace=period_trace,
-                         detail="vanishing sequence: residual stalled above the gate")
-
-
-def _polish_loop(sys, k, loop, cfg):
-    """The certified record of the orbit the descent search has converged
-    to: corrected by collocation, or by ``shoot`` when that fails."""
-    rec = _collocation_record(sys, k, loop.nodes, loop.period, 1e-12,
-                              cfg["n_nodes"], cfg["mode_count"])
-    if rec is None:
-        rec = shoot(sys, k, PhaseState(*_loop_start(sys, k, loop.nodes, loop.period)),
-                    loop.period, n_nodes=cfg["n_nodes"], mode_count=cfg["mode_count"])
-    if isinstance(rec, OrbitRecord):
-        rec.method = "gradient_search"
-    return rec
+def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):
+    """The certified record, with method "collocation", of the orbit one
+    collocation solve finds from the contractible loop (nodes, T); None
+    when the solved loop or its integrated orbit misses a gate."""
+    solved = _solve_closing(sys, k, nodes, T, PREDICTOR_MAX_ITER)[0]
+    record = None if solved is None else _loop_record(sys, k, solved, tol, n_nodes,
+                                                      mode_count)
+    if record is not None:
+        record.method = "collocation"
+    return record
 
 
 def circle_loop(center, radius, n_nodes=128, period=2.0 * np.pi, phase=0.0,
@@ -655,13 +640,3 @@ def orbit_seed_loop(sys, k, center, n_nodes=96, radius_scale=1.0):
     period = 2.0 * np.pi * radius / np.sqrt(2.0 * k)
     return circle_loop(center, radius, n_nodes=n_nodes, period=period,
                        orientation=-int(np.sign(b)))
-
-
-def multi_seed_search(sys, k, seeds, T_guess, **kwargs):
-    """Run shoot for each seed in turn; merge deterministically by
-    (closure residual, period)."""
-    results = [shoot(sys, k, st, T_guess, **kwargs) for st in seeds]
-    records = [r for r in results if isinstance(r, OrbitRecord)]
-    failures = [r for r in results if isinstance(r, SearchFailure)]
-    records.sort(key=lambda r: (r.closure_residual, r.period))
-    return records, failures

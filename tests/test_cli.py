@@ -134,6 +134,25 @@ dir = {out_dir}
         assert cli.main(["--config", write_config(tmp_path, text)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("base, lines", [
+        (TORUS_FIND_ORBIT, ["dimension = 3", "derivatives = fd", "g11 = 5"]),
+        (EXPRESSION_SYSTEM, ["foo = 1", "scheme = fd", "sigmaa = 2", "fd_step = 1e-4"]),
+    ], ids=["builtin", "expression"])
+    def test_unread_system_keys_rejected(self, tmp_path, base, lines):
+        text = base.replace("[system]\n", "[system]\n" + "".join(f"{ln}\n" for ln in lines))
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(out=tmp_path / "out"))
+        keys = sorted(line.split(" = ")[0] for line in lines)
+        assert err.value.problems == [f"system.{key}: unknown key" for key in keys]
+        assert cli.main(["--config", write_config(tmp_path, text)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_fd_step_read_with_fd_derivatives(self):
+        text = EXPRESSION_SYSTEM.replace("[system]\n", "[system]\nderivatives = fd\nfd_step = 1e-4\n")
+        config = parse_config(text.format(out="out"))
+        assert config.system.scheme == "fd"
+        assert config.system.fd_step == 1e-4
+
     def test_expression_system_builds(self, tmp_path):
         path = write_config(tmp_path, EXPRESSION_SYSTEM)
         config = load_config(path)

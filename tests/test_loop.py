@@ -234,6 +234,19 @@ class TestSineModes:
         assert form(torus, torus_loop, K, vsum) == pytest.approx(qa + qb, abs=1e-8)
 
 
+def _reversed_pivot_frame(sys, x):
+    """Gram-Schmidt of the coordinate basis at x in reversed pivot order."""
+    g = geom.PointGeometry.of(sys, x).g
+    n = g.shape[0]
+    frame = []
+    for idx in reversed(range(n)):
+        r = np.eye(n)[idx]
+        for e in frame:
+            r = r - (r @ g @ e) * e
+        frame.append(r / np.sqrt(r @ g @ r))
+    return np.column_stack(frame)
+
+
 class TestMorseIndex:
     def test_torus_index_one(self, torus, torus_loop):
         report = loop_mod.morse_index(torus, torus_loop, K, mode_count=32)
@@ -245,13 +258,16 @@ class TestMorseIndex:
         report = loop_mod.morse_index(sphere, sphere_loop, K, mode_count=32)
         assert report.index == 1
 
-    def test_stability_in_modes_and_frame(self, torus, torus_loop):
+    def test_stability_in_modes_and_frame(self, torus, torus_loop, sphere, sphere_loop,
+                                          monkeypatch):
         r16 = loop_mod.morse_index(torus, torus_loop, K, mode_count=16)
         r32 = loop_mod.morse_index(torus, torus_loop, K, mode_count=32)
         assert r16.index == r32.index == 1
-        swapped = loop_mod.morse_index(torus, torus_loop, K, mode_count=16,
-                                       frame_order=(1, 0))
-        assert swapped.index == 1
+        monkeypatch.setattr(geom, "coordinate_frame", _reversed_pivot_frame)
+        frames, _ = loop_mod.loop_frame(torus, torus_loop)
+        assert np.allclose(frames[0], [[0.0, 1.0], [1.0, 0.0]])
+        for sys, lp in ((torus, torus_loop), (sphere, sphere_loop)):
+            assert loop_mod.morse_index(sys, lp, K, mode_count=16).index == 1
 
     def test_stability_under_node_refinement(self, torus, torus_orbit):
         for n in (256, 512):

@@ -116,19 +116,57 @@ class TestGradientSearch:
         assert out.period == pytest.approx(TWO_PI, abs=1e-6)
         assert out.method == "gradient_search"
 
-    def test_exact_orbit_immediate(self, torus, torus_record):
+    def test_exact_orbit_immediate(self, torus, torus_record, monkeypatch):
+        # a seed that already is an orbit goes through the same solve: one
+        # Newton iteration takes it to roundoff, and the iteration stops
+        # where no step lowers the residual any more
+        residuals = []
+        closing_jacobian = solve._closing_jacobian
+        fvec = solve._closing_system(torus, 0.5)
+
+        def counted(sys, u):
+            residuals.append(float(np.linalg.norm(fvec(u))))
+            return closing_jacobian(sys, u)
+
+        monkeypatch.setattr(solve, "_closing_jacobian", counted)
         out = solve.gradient_search(torus, 0.5, torus_record.loop,
-                                    schedule={"polish": False})
-        assert isinstance(out, loop_mod.DiscreteLoop)
+                                    schedule={"n_nodes": 128, "mode_count": 16})
+        assert isinstance(out, solve.OrbitRecord) and out.certified
+        assert out.method == "gradient_search"
+        assert out.period == pytest.approx(TWO_PI, abs=1e-8)
+        assert residuals[0] < 1e-6
+        assert len(residuals) == 1 or max(residuals[1:]) < 1e-10
 
     def test_seed_at_gate_skips_lm(self, torus, torus_record, monkeypatch):
-        def no_newton(*args, **kwargs):
-            raise AssertionError("Newton ran on a seed that already passes the gate")
+        # a seed that already passes the eta gate is certified from its one
+        # collocation solve; no shoot correction (and its Newton run) follows
+        def no_shoot(*args, **kwargs):
+            raise AssertionError("shoot ran on a seed that already passes the gate")
 
-        monkeypatch.setattr(solve, "_damped_newton", no_newton)
-        out = solve.gradient_search(torus, 0.5, torus_record.loop,
-                                    schedule={"polish": False})
-        assert out is torus_record.loop
+        seed = torus_record.loop
+        assert loop_mod.eta_norm(torus, seed, 0.5) < loop_mod.eta_gate(seed)
+        monkeypatch.setattr(solve, "shoot", no_shoot)
+        out = solve.gradient_search(torus, 0.5, seed,
+                                    schedule={"n_nodes": 128, "mode_count": 16})
+        assert isinstance(out, solve.OrbitRecord) and out.certified
+        assert out.method == "gradient_search"
+        assert out.period == pytest.approx(torus_record.period, abs=1e-8)
+
+    def test_one_collocation_solve_per_seed(self, torus, monkeypatch):
+        solves = []
+        solve_closing = solve._solve_closing
+
+        def counted(sys, k, nodes, T, max_iter):
+            solves.append((len(nodes), max_iter))
+            return solve_closing(sys, k, nodes, T, max_iter)
+
+        monkeypatch.setattr(solve, "_solve_closing", counted)
+        seed = solve.orbit_seed_loop(torus, 0.5, (1.0, 1.0), n_nodes=24, radius_scale=0.5)
+        out = solve.gradient_search(torus, 0.5, seed,
+                                    schedule={"n_nodes": 128, "mode_count": 16})
+        assert isinstance(out, solve.OrbitRecord) and out.certified
+        assert solves == [(24, solve.DESCENT_MAX_ITER)]
+        assert out.loop.n_nodes == 128
 
     def test_agrees_with_shoot(self, torus, torus_record):
         seed = solve.orbit_seed_loop(torus, 0.5, (0.5, 0.5), n_nodes=48,
@@ -169,7 +207,9 @@ class TestGradientSearch:
         assert out.period_trace[0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("schedule", [{"max_nfev": 100}, {"mdoe": "action"},
-                                          {"mode": "newton"}])
+                                          {"mode": "newton"}, {"polish": False},
+                                          {"max_iter": 10}, {"gate": 1e-3},
+                                          {"t_floor": 0.1}])
     def test_unknown_schedule_rejected(self, torus, schedule):
         seed = solve.circle_loop((1.0, 1.0), 0.5, n_nodes=16)
         with pytest.raises(ValueError):
@@ -246,6 +286,11 @@ def _counting_integrators(monkeypatch):
     return calls
 
 
+def _failed_solve(sys, k, nodes, T, max_iter):
+    """A collocation solve whose loop misses the eta gate."""
+    return None, float("inf"), nodes, T, (float("inf"), max_iter, [float(np.log(T))])
+
+
 class TestCollocationCorrector:
     def test_matches_shoot_from_same_predictor(self, sine_sweep):
         sys, fam = sine_sweep
@@ -279,7 +324,7 @@ class TestCollocationCorrector:
         assert calls == ["plain"]
 
     def test_failed_collocation_falls_back_to_shoot(self, torus, torus_record, monkeypatch):
-        monkeypatch.setattr(solve, "_collocate", lambda *args: None)
+        monkeypatch.setattr(solve, "_solve_closing", _failed_solve)
         calls = _counting_integrators(monkeypatch)
         out = solve.continue_in_k(torus, torus_record, [0.25, 1.0],
                                   n_nodes=128, mode_count=8)
@@ -297,7 +342,7 @@ class TestCollocationCorrector:
         def no_collocation(*args):
             raise AssertionError("collocation ran on a winding loop")
 
-        monkeypatch.setattr(solve, "_collocate", no_collocation)
+        monkeypatch.setattr(solve, "_solve_closing", no_collocation)
         out = solve.continue_in_k(sys, rec, [1.0], n_nodes=64, mode_count=4)
         assert out[0].method == "shoot"
         assert out[0].period == pytest.approx(TWO_PI / np.sqrt(2.0), abs=1e-8)
@@ -363,13 +408,3 @@ class TestSweeps:
         assert lines[0].startswith("k,T,index")
         assert len(lines) == 6
 
-
-class TestMultiSeed:
-    def test_deterministic_merge(self, torus):
-        seeds = [flow.PhaseState([0.0, 0.0], [1.0, 0.0]),
-                 flow.PhaseState([0.5, 0.5], [0.0, 1.0])]
-        records, failures = solve.multi_seed_search(
-            torus, 0.5, seeds, 6.0, compute_index=False)
-        assert not failures
-        assert len(records) == 2
-        assert records[0].closure_residual <= records[1].closure_residual
