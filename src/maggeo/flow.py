@@ -8,11 +8,17 @@ diagnostic rather than being projected away.
 Transport solves  DV/dt = Omega_tilde(V)  along a stored orbit, where
 Omega_tilde mixes the Lorentz operator through the g-orthogonal splitting
 along the velocity; the induced end map is g-orthogonal.
+
+Every integration goes through one DOP853 call, ``_solve``.  The flow and
+its variational equation share one chart-exit loop, ``_drive``, which
+applies a swap map to the state at each exit; transport follows the
+orbit's stored segments instead, at the orbit's tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -129,16 +135,57 @@ def dense_states(segments, ts):
     return states, swaps
 
 
-def _chart_exit_event(sys):
-    radius = sys.safe_radius
-    n = sys.dim
+def _solve(rhs, t_span, y0, tolerance, dense_output, events=None):
+    """The embedded Runge-Kutta pair of order 8(5,3) at rtol = atol = tolerance."""
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tolerance, atol=tolerance,
+                    dense_output=dense_output, events=events)
+    if sol.status == -1:
+        raise StiffTrajectoryError(f"stiff or singular trajectory: {sol.message}")
+    return sol
 
-    def event(t, y):
-        return float(y[:n] @ y[:n]) - radius ** 2
 
-    event.terminal = True
-    event.direction = 1.0
-    return event
+def _drive(sys, rhs, y0, t_end, tolerance, swap, dense_output):
+    """Integrate y' = rhs(t, y) from y(0) = y0 to t_end, replacing y by
+    swap(y) each time the point leaves the chart's safe radius; a system
+    without a chart transition raises ``ChartExitError`` there instead.
+
+    Returns the end state, the dense ``_Segment``s (none without dense
+    output), the number of swaps and the number of RHS evaluations.
+    """
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    events = None
+    if sys.safe_radius is not None:
+        n = sys.dim
+        radius = sys.safe_radius
+
+        def chart_exit(t, y):
+            return float(y[:n] @ y[:n]) - radius ** 2
+
+        chart_exit.terminal = True
+        chart_exit.direction = 1.0
+        events = [chart_exit]
+
+    segments = []
+    swaps = 0
+    nfev = 0
+    t_cur = 0.0
+    y_cur = y0
+    while True:
+        sol = _solve(rhs, (t_cur, t_end), y_cur, tolerance, dense_output, events)
+        nfev += sol.nfev
+        if dense_output and sol.t[-1] > sol.t[0]:
+            segments.append(_Segment(sol.t[0], sol.t[-1], sol.sol, swaps))
+        t_cur = float(sol.t[-1])
+        y_cur = sol.y[:, -1].copy()
+        if sol.status != 1:  # no chart exit: t_end reached
+            return y_cur, segments, swaps, nfev
+        if sys.transition is None:
+            raise ChartExitError(f"left chart domain at t={t_cur}")
+        y_cur = swap(y_cur)
+        swaps += 1
 
 
 def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_SAMPLES):
@@ -149,46 +196,12 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
     winding numbers.  Chart transitions are applied when the system
     defines them; leaving a bounded chart without a transition raises.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     n = sys.dim
     state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
+    _, segments, swaps, nfev = _drive(
+        sys, lambda t, y: _vector_field(sys, y), np.concatenate([state0.x, state0.v]),
+        t_end, tolerance, partial(_transition, sys), dense_output=True)
     e0 = energy(sys, state0)
-
-    def rhs(t, y):
-        st = PhaseState(y[:n], y[n:])
-        dx, dv = magnetic_ode_rhs(sys, st)
-        return np.concatenate([dx, dv])
-
-    events = None
-    if sys.safe_radius is not None:
-        events = [_chart_exit_event(sys)]
-
-    segments = []
-    swaps = 0
-    t_cur = 0.0
-    y_cur = np.concatenate([state0.x, state0.v])
-    nfev = 0
-    while True:
-        sol = solve_ivp(rhs, (t_cur, t_end), y_cur, method="DOP853",
-                        rtol=tolerance, atol=tolerance, dense_output=True,
-                        events=events)
-        nfev += sol.nfev
-        if sol.status == -1:
-            raise StiffTrajectoryError(f"stiff or singular trajectory: {sol.message}")
-        if sol.t[-1] > sol.t[0]:
-            segments.append(_Segment(sol.t[0], sol.t[-1], sol.sol, swaps))
-        t_cur = float(sol.t[-1])
-        y_cur = sol.y[:, -1].copy()
-        if sol.status != 1:  # no chart exit: t_end reached
-            break
-        if sys.transition is None:
-            raise ChartExitError(f"left chart domain at t={t_cur}")
-        xn, vn = sys.transition(y_cur[:n], y_cur[n:])
-        y_cur = np.concatenate([xn, vn])
-        swaps += 1
 
     ts = np.linspace(0.0, t_end, samples)
     states, swap_counts = dense_states(segments, ts)
@@ -201,7 +214,7 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
 
     # closure against t = 0, after lattice reduction / chart canonicalization
     xe, ve = states[-1, :n].copy(), states[-1, n:].copy()
-    if swap_counts[-1] % 2 == 1 and sys.transition is not None:
+    if swap_counts[-1] % 2 == 1:
         xe, ve = sys.transition(xe, ve)
     dx = sys.wrap_diff(xe - state0.x)
     closure = float(np.linalg.norm(dx) + np.linalg.norm(ve - state0.v))
@@ -246,10 +259,6 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
     flow of the other.  After an odd number of swaps the end state, Phi and
     the vector field are mapped back into the start chart.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     n = sys.dim
     m = 2 * n
     state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
@@ -265,35 +274,19 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
         dphi = np.concatenate([phi[n:], jx @ phi[:n] + jv @ phi[n:]])
         return np.concatenate([v, _acceleration(pg, v), dphi.ravel()])
 
-    events = None
-    if sys.safe_radius is not None:
-        events = [_chart_exit_event(sys)]
-
-    t_cur = 0.0
-    y_cur = np.concatenate([state0.x, state0.v, np.eye(m).ravel()])
-    nfev = 0
-    swaps = 0
-    while True:
-        sol = solve_ivp(rhs, (t_cur, t_end), y_cur, method="DOP853",
-                        rtol=tolerance, atol=tolerance, events=events)
-        nfev += sol.nfev
-        if sol.status == -1:
-            raise StiffTrajectoryError(f"stiff or singular trajectory: {sol.message}")
-        t_cur = float(sol.t[-1])
-        y_cur = sol.y[:, -1].copy()
-        if sol.status != 1:
-            break
-        if sys.transition is None:
-            raise ChartExitError(f"left chart domain at t={t_cur}")
-        y_old, phi = y_cur[:m], y_cur[m:].reshape(m, m)
+    def swap(y):
+        y_old, phi = y[:m], y[m:].reshape(m, m)
         y_new, tangent = _transition_tangent(sys, y_old)
         # the swap time moves with the start state; this saltation term is
         # zero when the transition carries one chart's flow onto the other's
         f_old, f_new = _vector_field(sys, y_old), _vector_field(sys, y_new)
         grad = np.concatenate([2.0 * y_old[:n], np.zeros(n)])  # of the exit event
         jump = np.outer(f_new - tangent @ f_old, grad) / float(grad @ f_old)
-        y_cur = np.concatenate([y_new, ((tangent + jump) @ phi).ravel()])
-        swaps += 1
+        return np.concatenate([y_new, ((tangent + jump) @ phi).ravel()])
+
+    y_cur, _, swaps, nfev = _drive(
+        sys, rhs, np.concatenate([state0.x, state0.v, np.eye(m).ravel()]),
+        t_end, tolerance, swap, dense_output=False)
     y_end = y_cur[:m]
     # Phi and f(y_end) as the columns of one matrix, for the map back below
     cols = np.column_stack([y_cur[m:].reshape(m, m), _vector_field(sys, y_end)])
@@ -309,14 +302,16 @@ def _vector_field(sys, y):
     return np.concatenate(magnetic_ode_rhs(sys, PhaseState(y[:n], y[n:])))
 
 
+def _transition(sys, y):
+    """The chart transition of the state y = (x, v)."""
+    n = sys.dim
+    return np.concatenate(sys.transition(y[:n], y[n:]))
+
+
 def _transition_tangent(sys, y):
     """The chart transition of the state y = (x, v), and its tangent map
     by central differences."""
-    n = sys.dim
-
-    def transition(z):
-        return np.concatenate(sys.transition(z[:n], z[n:]))
-
+    transition = partial(_transition, sys)
     return transition(y), geom._fd_jacobian(transition, y, 1e-6 * np.maximum(1.0, np.abs(y)))
 
 
@@ -364,16 +359,18 @@ class TransportedField:
         dump_csv(path, header, rows)
 
 
-def magnetic_transport(sys, orbit, V0, tolerance=None):
+def magnetic_transport(sys, orbit, V0):
     """Transport V0 along the orbit by solving DV/dt = Omega_tilde(V).
 
     Coordinate form: dV^k/dt = -Gamma^k_ij gamma'^i V^j + Omega_tilde(V)^k.
-    The base curve is read from the orbit's dense output, so transport
-    accuracy is decoupled from re-integration.  At chart swaps the
-    transition's tangent map is applied to V.
+    The base curve is read from the orbit's dense output: V is integrated
+    over each of the orbit's segments at the orbit's tolerance, so it lives
+    on ``orbit.states`` rather than on a re-integrated curve, and sampled
+    at ``orbit.t`` by ``dense_states``.  At chart swaps the transition's
+    tangent map is applied to V.
     """
     n = sys.dim
-    tol = tolerance if tolerance is not None else orbit.meta.get("tolerance", DEFAULT_TOLERANCE)
+    tol = orbit.meta["tolerance"]
 
     def rhs_for(seg):
         def rhs(t, V):
@@ -383,34 +380,21 @@ def magnetic_transport(sys, orbit, V0, tolerance=None):
             return corr + _omega_tilde(pg, y[n:], V)
         return rhs
 
-    values = np.empty((len(orbit.t), n))
+    segments = []
     v_cur = np.asarray(V0, dtype=float).copy()
-    sample_i = 0
-    for si, seg in enumerate(orbit.segments):
-        if si > 0 and seg.swaps != orbit.segments[si - 1].swaps:
-            x_prev = orbit.segments[si - 1].sol(orbit.segments[si - 1].t1)[:n]
-            _, v_cur = sys.transition(x_prev, v_cur)
-        t_eval = [t for t in orbit.t[sample_i:] if t <= seg.t1 + 1e-12]
-        sol = solve_ivp(rhs_for(seg), (seg.t0, seg.t1), v_cur, method="DOP853",
-                        rtol=tol, atol=tol, dense_output=True)
-        if sol.status != 0:
-            raise StiffTrajectoryError(f"transport failed: {sol.message}")
-        for t in t_eval:
-            values[sample_i] = sol.sol(np.clip(t, seg.t0, seg.t1))
-            sample_i += 1
+    for prev, seg in zip([None] + orbit.segments, orbit.segments):
+        if prev is not None and seg.swaps != prev.swaps:
+            _, v_cur = sys.transition(prev.sol(prev.t1)[:n], v_cur)
+        sol = _solve(rhs_for(seg), (seg.t0, seg.t1), v_cur, tol, dense_output=True)
+        segments.append(_Segment(seg.t0, seg.t1, sol.sol, seg.swaps))
         v_cur = sol.y[:, -1].copy()
-    while sample_i < len(orbit.t):  # trailing samples on the final segment edge
-        values[sample_i] = v_cur
-        sample_i += 1
+    values, _ = dense_states(segments, orbit.t)
     return TransportedField(t=orbit.t.copy(), values=values, end_value=v_cur)
 
 
-def transport_frame(sys, orbit, vectors=None, tolerance=None):
-    """Transport several initial vectors; defaults to a g-orthonormal frame
-    with first leg along the initial velocity."""
+def transport_frame(sys, orbit):
+    """Transport the g-orthonormal frame whose first leg is along the
+    orbit's initial velocity, each leg as ``magnetic_transport`` does."""
     st0 = orbit.state(0)
-    if vectors is None:
-        speed = np.sqrt(2.0 * orbit.k)
-        frame0 = geom.orthonormal_completion(sys, st0.x, st0.v / speed)
-        vectors = [frame0[:, i] for i in range(sys.dim)]
-    return [magnetic_transport(sys, orbit, v, tolerance=tolerance) for v in vectors]
+    frame0 = geom.orthonormal_completion(sys, st0.x, st0.v / np.sqrt(2.0 * orbit.k))
+    return [magnetic_transport(sys, orbit, frame0[:, i]) for i in range(sys.dim)]

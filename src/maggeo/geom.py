@@ -137,13 +137,13 @@ class ChartedSystem:
     def metric_at(self, x):
         x = np.asarray(x, dtype=float)
         g = self._evaluate("metric", x, 2)
-        _check_symmetry(g, x, 1.0, DegenerateMetricError, "metric not symmetric")
+        _check_symmetry(g, x, 1.0, DegenerateMetricError, "metric")
         return g
 
     def two_form_at(self, x):
         x = np.asarray(x, dtype=float)
         s = self._evaluate("two_form", x, 2)
-        _check_symmetry(s, x, -1.0, ValueError, "two_form not antisymmetric")
+        _check_symmetry(s, x, -1.0, ValueError, "two_form")
         return s
 
     def primitive_at(self, x):
@@ -208,17 +208,20 @@ class ChartedSystem:
         return self._derivative("dtwo_form", "two_form", x, 1)
 
 
-def _check_symmetry(a, x, sign, error, what):
+def _check_symmetry(a, x, sign, error, name):
     """Raise ``error`` at the first point of the stack x where the matrix a
-    differs from sign * its transpose by more than _SYM_TOL max(1, |a|)."""
+    has a non-finite entry or differs from sign * its transpose by more than
+    _SYM_TOL max(1, |a|)."""
     diff = a - a.swapaxes(-1, -2) if sign > 0 else a + a.swapaxes(-1, -2)
-    if not diff.any():   # exactly (anti)symmetric: the common case
+    if not diff.any():   # exactly (anti)symmetric, hence finite: the common case
         return
+    finite = np.isfinite(a).all(axis=(-1, -2)).reshape(-1)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-1, -2)))
-    bad = np.abs(diff).max(axis=(-1, -2)) > _SYM_TOL * scale
+    bad = ~finite | (np.abs(diff).max(axis=(-1, -2)) > _SYM_TOL * scale).reshape(-1)
     if np.any(bad):
-        first = x.reshape(-1, x.shape[-1])[np.argmax(bad.reshape(-1))]
-        raise error(f"{what} at x={first!r}")
+        i = np.argmax(bad)
+        why = ("symmetric" if sign > 0 else "antisymmetric") if finite[i] else "finite"
+        raise error(f"{name} not {why} at x={x.reshape(-1, x.shape[-1])[i]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,23 @@ dir = {out}
 formats = csv, json
 """
 
+# a radial great circle at speed 1/2 that ends at the far pole, one chart swap away
+SPHERE_POLE_TRANSPORT = """
+[system]
+builtin = round_sphere
+
+[task]
+command = transport
+k = 0.125
+seed_x = 0, 0
+seed_v = 1, 0
+t_end = 6.283185307179586
+v0 = 0, 0.3
+
+[output]
+dir = {out}
+"""
+
 EXPRESSION_SYSTEM = """
 [system]
 dimension = 2
@@ -297,6 +314,15 @@ dir = {out_dir}
         assert cli.main(["--config", str(cfg)]) == 0
         payload = json.loads((out_dir / "transport.json").read_text())
         assert payload["norm_drift"] < 1e-8
+
+    def test_transport_through_a_chart_swap(self, tmp_path):
+        path = write_config(tmp_path, SPHERE_POLE_TRANSPORT)
+        outputs = []
+        for _ in range(2):
+            assert cli.main(["--config", path]) == 0
+            outputs.append([(tmp_path / "out" / name).read_bytes()
+                            for name in ("transport.csv", "transport.json")])
+        assert outputs[0] == outputs[1]
 
     def test_report_command(self, tmp_path):
         cfg = tmp_path / "rep.cfg"

@@ -104,11 +104,12 @@ class TestIntegrate:
         assert payload["closure_residual"] < 1e-8
 
     def test_input_validation(self, torus):
-        with pytest.raises(ValueError):
-            flow.integrate(torus, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), -1.0)
-        with pytest.raises(ValueError):
-            flow.integrate(torus, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 1.0,
-                           tolerance=0.0)
+        st = flow.PhaseState([0.0, 0.0], [1.0, 0.0])
+        for run in (flow.integrate, flow.integrate_variational):
+            with pytest.raises(ValueError, match="t_end"):
+                run(torus, st, -1.0)
+            with pytest.raises(ValueError, match="tolerance"):
+                run(torus, st, 1.0, tolerance=0.0)
 
 
 class TestOmegaTilde:
@@ -159,6 +160,20 @@ class TestTransport:
                                3.0, tolerance=1e-12)
         tf = flow.magnetic_transport(sys, orbit, np.array([0.3, -0.7]))
         assert np.max(np.abs(tf.values - np.array([0.3, -0.7]))) < 1e-10
+
+    @pytest.mark.parametrize("b, v1, t_end, swaps", [(0.0, 0.5, TWO_PI, 2),
+                                                     (1.0, 3.0, 6.0, 11)])
+    def test_across_chart_swaps(self, b, v1, t_end, swaps):
+        # the velocity solves the transport equation, also past the swaps
+        sys = systems.round_sphere(b=b)
+        orbit = flow.integrate(sys, flow.PhaseState([0.0, 0.0], [v1, 0.0]), t_end,
+                               tolerance=1e-12, samples=257)
+        assert orbit.meta["chart_swaps_total"] == swaps
+        tf = flow.magnetic_transport(sys, orbit, orbit.state(0).v)
+        assert np.max(np.abs(tf.values - orbit.states[:, 2:])) < 1e-9
+        p_end = np.column_stack([f.end_value for f in flow.transport_frame(sys, orbit)])
+        g = sys.metric_at(orbit.states[-1, :2])
+        assert np.max(np.abs(p_end.T @ g @ p_end - np.eye(2))) < 1e-8
 
     def test_end_map_orthogonal(self, sphere, sphere_orbit):
         fields = flow.transport_frame(sphere, sphere_orbit)

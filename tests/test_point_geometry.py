@@ -164,6 +164,29 @@ def test_asymmetric_point_of_a_stack_is_named():
         sys.metric_at(xs)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_fields_are_rejected_where_they_enter(value):
+    def bad_entry(x):  # zero, except the (0, 1) entry at points with x1 > 1.5
+        a = np.zeros(x.shape[:-1] + (2, 2))
+        a[..., 0, 1] = np.where(x[..., 0] > 1.5, value, 0.0)
+        return a
+
+    def zero(x):
+        return np.zeros(x.shape[:-1] + (2, 2))
+
+    xs = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.25], [3.0, 0.0]])
+    at = r" at x=array\(\[2\. *, 0\.25\]\)"
+    sys = geom.ChartedSystem(dim=2, metric=lambda x: np.eye(2) + bad_entry(x), two_form=zero)
+    with pytest.raises(DegenerateMetricError, match="metric not finite" + at):
+        geom.PointGeometry(sys, xs).ginv
+    # the flow stops where the field enters, not in the step-size control
+    with pytest.raises(DegenerateMetricError, match="metric not finite"):
+        flow.integrate(sys, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 3.0)
+    sys = geom.ChartedSystem(dim=2, metric=lambda x: np.eye(2) + zero(x), two_form=bad_entry)
+    with pytest.raises(ValueError, match="two_form not finite" + at):
+        sys.two_form_at(xs)
+
+
 FIELDS = ("g", "ginv", "dg", "d2g", "sigma", "dsigma", "theta", "gamma", "dgamma",
           "riemann", "omega", "domega", "nabla_omega")
 trig_systems = st.builds(lambda dim, seed: systems.random_trig_system(dim=dim, seed=seed),
