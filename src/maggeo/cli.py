@@ -58,34 +58,33 @@ def default_seed_state(sys, k, task):
     return flow.PhaseState(x, v)
 
 
-def _default_t_guess(sys, k, task):
+def _default_t_guess(sys, k, x, task):
+    """The configured ``t_guess``; else, on a surface with field strength
+    b != 0 at the seed point x, the cyclotron period 2 pi / |b|; else the
+    time 2 pi / |v| of a unit-radius turn at speed |v| = sqrt(2k)."""
     if "t_guess" in task:
         return task["t_guess"]
-    try:
-        b = magcurv.field_strength(sys, default_seed_state(sys, k, task).x)
+    if sys.dim == 2:
+        b = magcurv.field_strength(sys, x)
         if abs(b) > 1e-9:
             return 2.0 * np.pi / abs(b)
-    except Exception:
-        pass
     return 2.0 * np.pi / np.sqrt(2.0 * k)
 
 
-def _find_orbit(config):
-    sys_ = config.system
-    task = config.task
-    k = task["k"]
+def _search_options(task):
+    """Tolerance and index resolution of the orbit search, for ``shoot`` and
+    ``continue_in_k``."""
+    return {"tol": task.get("tolerance", 1e-12), "n_nodes": task.get("nodes", 512),
+            "mode_count": task.get("modes", 32)}
+
+
+def _find_orbit(sys_, task, k):
     state = default_seed_state(sys_, k, task)
     winding_target = None
     if task.get("contractible", True) and sys_.lattice is not None:
         winding_target = tuple(0 for _ in range(sys_.dim))
-    record = solve.shoot(
-        sys_, k, state, _default_t_guess(sys_, k, task),
-        tol=task.get("tolerance", 1e-12),
-        n_nodes=task.get("nodes", 512),
-        mode_count=task.get("modes", 32),
-        winding_target=winding_target,
-    )
-    return record
+    return solve.shoot(sys_, k, state, _default_t_guess(sys_, k, state.x, task),
+                       winding_target=winding_target, **_search_options(task))
 
 
 def cmd_integrate(config):
@@ -149,7 +148,7 @@ def cmd_theorem_b(config):
 
 
 def cmd_find_orbit(config):
-    record = _find_orbit(config)
+    record = _find_orbit(config.system, config.task, config.task["k"])
     if isinstance(record, solve.SearchFailure):
         _emit(config, "orbit_record", record.to_json())
         return 1
@@ -158,7 +157,7 @@ def cmd_find_orbit(config):
 
 
 def cmd_index(config):
-    record = _find_orbit(config)
+    record = _find_orbit(config.system, config.task, config.task["k"])
     if isinstance(record, solve.SearchFailure):
         _emit(config, "orbit_record", record.to_json())
         return 1
@@ -192,16 +191,13 @@ def cmd_bonnet_myers(config):
     sys_ = config.system
     task = config.task
     k_grid = task["k_grid"]
-    config.task["k"] = k_grid[0]
-    record = _find_orbit(config)
+    record = _find_orbit(sys_, task, k_grid[0])
     if isinstance(record, solve.SearchFailure):
         _emit(config, "bonnet_myers", record.to_json())
         return 1
     family = [record]
     if len(k_grid) > 1:
-        family += solve.continue_in_k(sys_, record, k_grid[1:],
-                                      n_nodes=task.get("nodes", 512),
-                                      mode_count=task.get("modes", 32))
+        family += solve.continue_in_k(sys_, record, k_grid[1:], **_search_options(task))
     payload = {
         "schema_version": 1, "kind": "bonnet_myers_sweep", "system": sys_.name,
         "k_grid": [float(k) for k in k_grid],
@@ -240,7 +236,7 @@ def cmd_mane_bound(config):
 
 def cmd_report(config):
     sys_ = config.system
-    record = _find_orbit(config)
+    record = _find_orbit(sys_, config.task, config.task["k"])
     payload = {
         "schema_version": 1,
         "kind": "report",

@@ -22,9 +22,10 @@ two-form entries ``sigma12, ...`` and optional primitive entries
 get analytic derivative callbacks by symbolic differentiation unless
 ``derivatives = fd`` is requested (with an optional ``fd_step``).  A
 ``[system]``, ``[task]`` or ``[output]`` key that the run would not read is
-reported as an unknown key.  Like every field callback, those of an
-expression system evaluate a point or a stack of points in one call: each
-entry is one numpy evaluation of its expression over the stack.
+reported, the ``[task]`` keys of each command as ``COMMAND_KEYS`` lists
+them.  Like every field callback, those of an expression system evaluate a
+point or a stack of points in one call: each entry is one numpy evaluation
+of its expression over the stack.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ from .errors import ConfigError, ParseError
 from .expr import parse_expression
 from .geom import ChartedSystem
 from .systems import BUILTINS
-
-COMMANDS = (
-    "integrate", "curvature", "scan-k0", "theorem-b", "find-orbit",
-    "index", "transport", "bonnet-myers", "mane-bound", "report",
-)
 
 DEFAULT_SEED = 20240
 DEFAULT_FORMATS = ("json", "csv")
@@ -282,28 +278,42 @@ def _build_system(sysc, problems):
     return _build_expression_system(sysc, problems)
 
 
-_TASK_SPECS = {
-    # key: (converter, required-for commands)
-    "k": (_as_float, ("integrate", "curvature", "find-orbit", "index",
-                      "transport", "report")),
-    "k_grid": (lambda raw: _as_list(raw), ("scan-k0", "bonnet-myers")),
-    "k0": (_as_float, ("theorem-b",)),
-    "t_end": (_as_float, ()),
-    "t_guess": (_as_float, ()),
-    "tolerance": (_as_float, ()),
-    "seed": (_as_int, ()),
-    "seed_x": (lambda raw: _as_list(raw), ()),
-    "seed_v": (lambda raw: _as_list(raw), ()),
-    "v0": (lambda raw: _as_list(raw), ()),
-    "nodes": (_as_int, ()),
-    "modes": (_as_int, ()),
-    "samples": (_as_int, ()),
-    "sample_budget": (_as_int, ()),
-    "k_steps": (_as_int, ()),
-    "grid": (lambda raw: _as_list(raw, _as_int), ()),
-    "contractible": (_as_bool, ()),
-    "center": (lambda raw: _as_list(raw), ()),
-    "radii": (lambda raw: _as_list(raw), ("mane-bound",)),
+_TASK_CONVERTERS = {
+    "k": _as_float,
+    "k_grid": _as_list,
+    "k0": _as_float,
+    "t_end": _as_float,
+    "t_guess": _as_float,
+    "tolerance": _as_float,
+    "seed": _as_int,
+    "seed_x": _as_list,
+    "seed_v": _as_list,
+    "v0": _as_list,
+    "nodes": _as_int,
+    "modes": _as_int,
+    "samples": _as_int,
+    "sample_budget": _as_int,
+    "k_steps": _as_int,
+    "grid": lambda raw: _as_list(raw, _as_int),
+    "contractible": _as_bool,
+    "center": _as_list,
+    "radii": _as_list,
+}
+
+_ORBIT_SEARCH_KEYS = ("seed_x", "seed_v", "t_guess", "tolerance", "nodes", "modes",
+                      "contractible")
+# command: (the [task] keys it requires, the optional ones it reads)
+COMMAND_KEYS = {
+    "integrate": (("k",), ("seed_x", "seed_v", "t_end", "tolerance", "samples")),
+    "curvature": (("k",), ("samples", "seed")),
+    "scan-k0": (("k_grid",), ("sample_budget", "seed")),
+    "theorem-b": (("k0",), ("k_steps", "grid")),
+    "find-orbit": (("k",), _ORBIT_SEARCH_KEYS),
+    "index": (("k",), _ORBIT_SEARCH_KEYS),
+    "transport": (("k",), ("seed_x", "seed_v", "t_end", "tolerance", "v0")),
+    "bonnet-myers": (("k_grid",), _ORBIT_SEARCH_KEYS),
+    "mane-bound": (("radii",), ("center", "samples", "seed")),
+    "report": (("k",), _ORBIT_SEARCH_KEYS + ("seed",)),
 }
 
 _POSITIVE_KEYS = ("k", "k0", "t_end", "t_guess", "tolerance", "nodes", "modes",
@@ -315,25 +325,26 @@ def _build_task(taskc, problems):
         problems.append("task.command: required")
         return None
     command = taskc["command"]
-    if command not in COMMANDS:
+    if command not in COMMAND_KEYS:
         problems.append(f"task.command: unknown command {command!r} "
-                        f"(available: {', '.join(COMMANDS)})")
+                        f"(available: {', '.join(COMMAND_KEYS)})")
         return None
+    required, optional = COMMAND_KEYS[command]
     task = {"command": command}
     for key, raw in taskc.items():
         if key == "command":
             continue
-        if key not in _TASK_SPECS:
+        if key not in _TASK_CONVERTERS:
             problems.append(f"task.{key}: unknown key")
-            continue
-        conv, _ = _TASK_SPECS[key]
-        try:
-            task[key] = conv(raw)
-        except ValueError:
-            problems.append(f"task.{key}: could not parse {raw!r}")
-    for key, (_, required_for) in _TASK_SPECS.items():
-        if command in required_for and key not in task:
-            problems.append(f"task.{key}: required by command {command!r}")
+        elif key not in required + optional:
+            problems.append(f"task.{key}: not read by command {command!r}")
+        else:
+            try:
+                task[key] = _TASK_CONVERTERS[key](raw)
+            except ValueError:
+                problems.append(f"task.{key}: could not parse {raw!r}")
+    problems.extend(f"task.{key}: required by command {command!r}"
+                    for key in required if key not in task)
     for key in _POSITIVE_KEYS:
         if key in task and task[key] <= 0:
             problems.append(f"task.{key}: must be positive")

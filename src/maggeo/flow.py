@@ -49,11 +49,7 @@ def energy(sys, state):
 
 def magnetic_ode_rhs(sys, state):
     """(dx/dt, dv/dt) with (dv/dt)^k = -Gamma^k_ij v^i v^j + Om^k_j v^j."""
-    return state.v.copy(), _acceleration(geom.PointGeometry(sys, state.x), state.v)
-
-
-def _acceleration(pg, v):
-    return -np.einsum("kij,i,j->k", pg.gamma, v, v) + pg.omega @ v
+    return state.v.copy(), geom.acceleration(geom.PointGeometry(sys, state.x), state.v)
 
 
 @dataclass
@@ -250,9 +246,7 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
 
     Solves y' = f(y), Phi' = A Phi, Phi(0) = I for y = (x, v) with the
     scheme of ``integrate`` and no dense output, where A = [[0, I],
-    [J_x, J_v]] is the derivative of f:
-    J_x[k, m] = -d_m Gamma^k_ij v^i v^j + d_m Om^k_j v^j and
-    J_v[k, j] = -2 Gamma^k_ij v^i + Om^k_j.
+    [J_x, J_v]] is the derivative of f (``geom.acceleration_jacobian``).
     At a chart swap the state goes through the transition and Phi through
     its tangent map plus the saltation term of the moving swap time, which
     vanishes when the transition carries the flow of one chart onto the
@@ -267,12 +261,9 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
         v = y[n:m]
         phi = y[m:].reshape(m, m)
         pg = geom.PointGeometry(sys, y[:n])
-        gam_v = pg.gamma @ v
-        jx = (pg.domega.transpose(0, 2, 1) @ v
-              - np.einsum("kijm,i,j->km", pg.dgamma, v, v))
-        jv = pg.omega - 2.0 * gam_v
+        jx, jv = geom.acceleration_jacobian(pg, v)
         dphi = np.concatenate([phi[n:], jx @ phi[:n] + jv @ phi[n:]])
-        return np.concatenate([v, _acceleration(pg, v), dphi.ravel()])
+        return np.concatenate([v, geom.acceleration(pg, v), dphi.ravel()])
 
     def swap(y):
         y_old, phi = y[:m], y[m:].reshape(m, m)
@@ -299,7 +290,7 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
 
 def _vector_field(sys, y):
     n = sys.dim
-    return np.concatenate(magnetic_ode_rhs(sys, PhaseState(y[:n], y[n:])))
+    return np.concatenate([y[n:], geom.acceleration(geom.PointGeometry(sys, y[:n]), y[n:])])
 
 
 def _transition(sys, y):
@@ -322,25 +313,7 @@ def _transition_tangent(sys, y):
 def omega_tilde(sys, state, V):
     """Omega_tilde(V) = Om(V_1) + (Om V)_1 + (1/2)(Om V_2)_2 with the
     g-orthogonal splitting along the state's velocity."""
-    return _omega_tilde(geom.PointGeometry(sys, state.x), state.v, V)
-
-
-def _omega_tilde(pg, v, V):
-    """Omega_tilde(V) at the point or stack of ``pg``; v and V of shape (..., n)."""
-    v2 = np.einsum("...i,...ij,...j->...", v, pg.g, v)
-    if np.any(v2 <= 0.0):
-        raise ValueError("zero velocity: projections undefined")
-    V = np.asarray(V, dtype=float)
-
-    def par(w):
-        return (np.einsum("...i,...ij,...j->...", w, pg.g, v) / v2)[..., None] * v
-
-    def om_of(w):
-        return np.einsum("...kj,...j->...k", pg.omega, w)
-
-    v1 = par(V)
-    ov2 = om_of(V - v1)
-    return om_of(v1) + par(om_of(V)) + 0.5 * (ov2 - par(ov2))
+    return geom._omega_tilde(geom.PointGeometry(sys, state.x), state.v, V)
 
 
 @dataclass
@@ -362,7 +335,7 @@ class TransportedField:
 def magnetic_transport(sys, orbit, V0):
     """Transport V0 along the orbit by solving DV/dt = Omega_tilde(V).
 
-    Coordinate form: dV^k/dt = -Gamma^k_ij gamma'^i V^j + Omega_tilde(V)^k.
+    Coordinate form (``geom.transport_rate``): dV/dt = Omega_tilde(V) - Gamma(gamma', V).
     The base curve is read from the orbit's dense output: V is integrated
     over each of the orbit's segments at the orbit's tolerance, so it lives
     on ``orbit.states`` rather than on a re-integrated curve, and sampled
@@ -372,20 +345,16 @@ def magnetic_transport(sys, orbit, V0):
     n = sys.dim
     tol = orbit.meta["tolerance"]
 
-    def rhs_for(seg):
-        def rhs(t, V):
-            y = seg.sol(np.clip(t, seg.t0, seg.t1))
-            pg = geom.PointGeometry(sys, y[:n])
-            corr = -np.einsum("kij,i,j->k", pg.gamma, y[n:], V)
-            return corr + _omega_tilde(pg, y[n:], V)
-        return rhs
+    def rhs(t, V, seg):
+        y = seg.sol(np.clip(t, seg.t0, seg.t1))
+        return geom.transport_rate(geom.PointGeometry(sys, y[:n]), y[n:], V)
 
     segments = []
     v_cur = np.asarray(V0, dtype=float).copy()
     for prev, seg in zip([None] + orbit.segments, orbit.segments):
         if prev is not None and seg.swaps != prev.swaps:
             _, v_cur = sys.transition(prev.sol(prev.t1)[:n], v_cur)
-        sol = _solve(rhs_for(seg), (seg.t0, seg.t1), v_cur, tol, dense_output=True)
+        sol = _solve(partial(rhs, seg=seg), (seg.t0, seg.t1), v_cur, tol, dense_output=True)
         segments.append(_Segment(seg.t0, seg.t1, sol.sol, seg.swaps))
         v_cur = sol.y[:, -1].copy()
     values, _ = dense_states(segments, orbit.t)

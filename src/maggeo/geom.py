@@ -32,11 +32,14 @@ is the positive-definiteness check of every point.  The tensors built from the
 fields are cached the same way, each computed once for the whole stack, and
 ``pg[i]`` is point ``i`` with everything computed so far sliced.  The tensor
 functions below take a point or a ``PointGeometry`` as ``x``, the functions
-of vectors one point.  ``ChartedSystem`` values are immutable.
+of vectors one point, and those of the magnetic geodesic equation a
+``PointGeometry`` ``pg`` and vectors ``v``, ``V`` with its leading axes.
+``ChartedSystem`` values are immutable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -191,12 +194,22 @@ class ChartedSystem:
 
     def _derivative(self, name, base, x, rank):
         """Callback ``name`` (analytic scheme) or central differences of the
-        callback ``base`` (rank 2) in every coordinate, ``rank`` times."""
+        callback ``base`` (rank 2) in every coordinate, ``rank`` times.  A
+        non-finite value raises the error of ``base``, naming its first point."""
         x = np.asarray(x, dtype=float)
         if self.scheme == "analytic":
-            return self._evaluate(name, x, 2 + rank)
-        fd = _fd_jacobian if rank == 1 else _fd_hessian
-        return fd(lambda z: self._evaluate(base, z, 2), x, self._steps(x))
+            value = self._evaluate(name, x, 2 + rank)
+        else:
+            fd = _fd_jacobian if rank == 1 else _fd_hessian
+            with np.errstate(invalid="ignore"):   # inf - inf: reported below
+                value = fd(lambda z: self._evaluate(base, z, 2), x, self._steps(x))
+        if math.isfinite(value.sum()):   # no NaN or inf entry: the common case
+            return value
+        finite = np.isfinite(value).reshape(x.shape[:-1] + (-1,)).all(axis=-1)
+        if not finite.all():
+            error = DegenerateMetricError if base == "metric" else ValueError
+            raise error(f"{name} not finite at x={x.reshape(-1, self.dim)[np.argmin(finite)]!r}")
+        return value
 
     def dmetric_at(self, x):
         return self._derivative("dmetric", "metric", x, 1)
@@ -422,6 +435,46 @@ def nabla_omega(sys, x, w, v):
 
 
 # ---------------------------------------------------------------------------
+# the magnetic geodesic equation and magnetic transport
+
+
+def acceleration(pg, v):
+    """dv/dt = Om v - Gamma(v, v) of the flow."""
+    return (pg.omega @ v[..., None])[..., 0] - np.einsum("...kij,...i,...j->...k", pg.gamma, v, v)
+
+
+def acceleration_jacobian(pg, v):
+    """(J_x, J_v), the derivatives of ``acceleration(pg, v)`` by the point and by v:
+    J_x[k, m] = d_m Om^k_j v^j - d_m Gamma^k_ij v^i v^j, J_v = Om - 2 Gamma(v, .)."""
+    column = v[..., None, :, None]   # v against the last axis of each (n, n) block
+    jx = ((pg.domega.swapaxes(-1, -2) @ column)[..., 0]
+          - np.einsum("...kijm,...i,...j->...km", pg.dgamma, v, v))
+    return jx, pg.omega - 2.0 * (pg.gamma @ column)[..., 0]
+
+
+def transport_rate(pg, v, V):
+    """dV/dt = Omega_tilde(V) - Gamma(v, V) of magnetic transport along v."""
+    return _omega_tilde(pg, v, V) - np.einsum("...kij,...i,...j->...k", pg.gamma, v, V)
+
+
+def _omega_tilde(pg, v, V):
+    """``flow.omega_tilde``, split along v (only its direction counts)."""
+    v2 = np.einsum("...i,...ij,...j->...", v, pg.g, v)
+    if np.any(v2 <= 0.0):
+        raise ValueError("zero velocity: projections undefined")
+
+    def par(w):
+        return (np.einsum("...i,...ij,...j->...", w, pg.g, v) / v2)[..., None] * v
+
+    def om_of(w):
+        return np.einsum("...kj,...j->...k", pg.omega, w)
+
+    v1 = par(V)
+    ov2 = om_of(V - v1)
+    return om_of(v1) + par(om_of(V)) + 0.5 * (ov2 - par(ov2))
+
+
+# ---------------------------------------------------------------------------
 # frames
 
 
@@ -459,9 +512,12 @@ def orthonormal_completion(sys, x, v):
 
 
 def coordinate_frame(sys, x):
-    """g-orthonormalize the coordinate basis at x (pivoted, deterministic).
+    """g-orthonormalize the coordinate basis at x by Gram-Schmidt in
+    coordinate order (no pivoting).
 
-    Returns an (n, n) matrix whose columns form a g-orthonormal frame.
+    Returns an (n, n) matrix whose columns form a g-orthonormal frame; it is
+    upper triangular with a positive diagonal, so it equals L^{-T} for the
+    Cholesky factor g = L L^T.
     """
     g = PointGeometry.of(sys, x).g
     n = g.shape[0]

@@ -241,8 +241,7 @@ def _closing_terms(pg, xdot, xddot, T, k):
     """Closing conditions at nodes with geometry ``pg``, s-derivatives ``xdot``,
     ``xddot`` and period T: the force T^2 (D(gamma')/dt - Om(gamma')) in loop
     units, and the period component c_tau = mean(k - |gamma'|^2/2) of eta."""
-    force = (xddot + np.einsum("nkij,ni,nj->nk", pg.gamma, xdot, xdot)
-             - T * np.einsum("nkj,nj->nk", pg.omega, xdot))
+    force = xddot - T ** 2 * geom.acceleration(pg, xdot / T)
     speed2 = np.einsum("ni,nij,nj->n", xdot, pg.g, xdot)
     return force, k - float(np.mean(speed2)) / (2.0 * T ** 2)
 
@@ -370,17 +369,15 @@ def hessian_form_curvature(sys, loop, k, variation):
     dv = variation.d()
     tau = variation.tau
 
-    vcov = dv + np.einsum("nkab,na,nb->nk", lg.gamma, lg.xdot, v)
+    vcov = dv + np.einsum("nkb,nb->nk", lg.gamma_xdot, v)
     p = np.einsum("nk,nkl,nl->n", vcov, lg.g, lg.xdot)
-
-    tangential = np.einsum("nk,nkl,nl->n", v, lg.g, lg.xdot) / lg.speed ** 2
-    v1 = tangential[:, None] * lg.xdot
-    v2 = v - v1
 
     def perp(w):
         coeff = np.einsum("nk,nkl,nl->n", w, lg.g, lg.xdot) / lg.speed ** 2
         return w - coeff[:, None] * lg.xdot
 
+    v2 = perp(v)
+    v1 = v - v2
     vcov2 = perp(vcov)
     om_mix = np.einsum("nkj,nj->nk", lg.omega, v1 + v)
     w2 = vcov2 / T - 0.5 * perp(om_mix)
@@ -422,7 +419,7 @@ def make_test_variation(sys, loop, v_field, dv_field=None, tol=1e-8):
     if np.max(np.abs(tang)) > tol * max(1.0, float(np.max(np.abs(v)))) * float(np.max(lg.speed)):
         raise FrameError("frame violation: field not normal to the loop")
     dv = np.asarray(dv_field, dtype=float) if dv_field is not None else spectral_derivative(v)
-    vcov = dv + np.einsum("nkab,na,nb->nk", lg.gamma, lg.xdot, v)
+    vcov = dv + np.einsum("nkb,nb->nk", lg.gamma_xdot, v)
     phi = np.einsum("nk,nkl,nl->n", vcov, lg.g, lg.xdot) / lg.speed ** 2
     mean = float(np.mean(phi))
     tau = T * mean
@@ -436,13 +433,8 @@ def make_test_variation(sys, loop, v_field, dv_field=None, tol=1e-8):
 def transport_derivative(sys, loop, v_field):
     """Nodal s-derivative of a solution of the transport equation
     DV/dt = Omega_tilde(V), read off the equation itself."""
-    from .flow import _omega_tilde
-
     lg = _loop_geometry(sys, loop)
-    v = np.asarray(v_field, dtype=float)
-    # Omega_tilde depends on the velocity only through its direction
-    return (loop.period * _omega_tilde(lg.geometry, lg.xdot, v)
-            - np.einsum("nkab,na,nb->nk", lg.gamma, lg.xdot, v))
+    return loop.period * geom.transport_rate(lg.geometry, lg.xdot / loop.period, v_field)
 
 
 def sine_mode_variation(sys, loop, v_field, window, mode_count, dv_field=None):

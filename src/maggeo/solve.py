@@ -510,22 +510,19 @@ def _closing_jacobian(sys, u):
     which does not depend on k.
 
     With D the s-derivative matrix the residual applies (Nyquist mode
-    zeroed), the force rows are  D^2 (x) I + [Jv_i] D + blockdiag(Jx_i)  with
-    Jv_i = 2 Gamma_i(xdot_i, .) - T Om_i  and
-    Jx_i = dGamma_i(xdot_i, xdot_i) - T dOm_i xdot_i,  and -T Om_i xdot_i in
-    the log T column; the energy row differentiates
+    zeroed) and (J_x, J_v)_i = da/d(x, v) at the velocity xdot_i/T, the force
+    rows xddot - T^2 a(xdot/T) are  D^2 (x) I - T [J_v_i] D - T^2 blockdiag(J_x_i),
+    with -T Om_i xdot_i in the log T column; the energy row differentiates
     N k - sum_i |xdot_i|_g^2 / (2 T^2).
     """
     pg, xdot, T = _closing_state(sys, u)
     n_nodes, n = xdot.shape
     d = loop_mod.spectral_derivative(np.eye(n_nodes))
     dlog = 1.0 if abs(u[-1]) < 30.0 else 0.0   # d log T / du[-1] under the clip
-    jv = 2.0 * np.einsum("ikaj,ia->ikj", pg.gamma, xdot) - T * pg.omega
-    jx = (np.einsum("ikabj,ia,ib->ikj", pg.dgamma, xdot, xdot)
-          - T * np.einsum("ikaj,ia->ikj", pg.domega, xdot))
-    blocks = np.einsum("ij,ikm->ikjm", d, jv)
+    jx, jv = geom.acceleration_jacobian(pg, xdot / T)
+    blocks = np.einsum("ij,ikm->ikjm", d, -T * jv)
     nodes = np.arange(n_nodes)
-    blocks[nodes, :, nodes, :] += jx
+    blocks[nodes, :, nodes, :] -= T ** 2 * jx
     gxdot = np.einsum("iab,ib->ia", pg.g, xdot)
     dspeed2 = np.einsum("iabm,ia,ib->im", pg.dg, xdot, xdot)
     jac = np.empty((n_nodes * n + 1, n_nodes * n + 1))

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from maggeo import cli
-from maggeo.config import load_config, parse_config, serialize_config
+from maggeo import cli, solve
+from maggeo.config import COMMAND_KEYS, load_config, parse_config, serialize_config
 from maggeo.errors import ConfigError
 
 TORUS_FIND_ORBIT = """
@@ -90,6 +90,21 @@ dir = {out}
 """
 
 
+# a valid value of every [task] key
+TASK_VALUES = {
+    "k": "0.5", "k_grid": "0.5, 1", "k0": "0.5", "t_end": "1", "t_guess": "1",
+    "tolerance": "1e-10", "seed": "3", "seed_x": "0, 0", "seed_v": "1, 0", "v0": "0, 1",
+    "nodes": "64", "modes": "8", "samples": "16", "sample_budget": "16", "k_steps": "2",
+    "grid": "4, 4", "contractible": "true", "center": "0, 0", "radii": "1",
+}
+
+
+def task_config(command, keys, out):
+    lines = [f"command = {command}"] + [f"{key} = {TASK_VALUES[key]}" for key in keys]
+    return ("[system]\nbuiltin = flat_torus\n\n[task]\n" + "\n".join(lines)
+            + f"\n\n[output]\ndir = {out}\n")
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / "out"))
@@ -150,6 +165,24 @@ dir = {out_dir}
         assert err.value.problems == [f"task.{key}: unknown key"]
         assert cli.main(["--config", write_config(tmp_path, text)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_keys_of_other_commands_rejected(self, tmp_path, command):
+        required, optional = COMMAND_KEYS[command]
+        foreign = sorted(set(TASK_VALUES) - set(required) - set(optional))
+        others = {key for cmd, keys in COMMAND_KEYS.items() if cmd != command
+                  for key in keys[0] + keys[1]}
+        assert foreign and set(foreign) <= others
+        out = tmp_path / "out"
+        assert parse_config(task_config(command, required + optional, out)).command == command
+        with pytest.raises(ConfigError) as err:
+            parse_config(task_config(command, required + tuple(foreign), out))
+        assert err.value.problems == [f"task.{key}: not read by command {command!r}"
+                                      for key in foreign]
+        path = tmp_path / "run.cfg"
+        path.write_text(task_config(command, required + tuple(foreign), out))
+        assert cli.main(["--config", str(path)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("base, lines", [
         (TORUS_FIND_ORBIT, ["dimension = 3", "derivatives = fd", "g11 = 5"]),
@@ -323,6 +356,26 @@ dir = {out_dir}
             outputs.append([(tmp_path / "out" / name).read_bytes()
                             for name in ("transport.csv", "transport.json")])
         assert outputs[0] == outputs[1]
+
+    def test_bonnet_myers_search_options(self, tmp_path, monkeypatch):
+        # the tolerance reaches the continuation too; the config is not written
+        seen = {}
+
+        def fake_shoot(sys, k, state, t_guess, **options):
+            seen["shoot"] = (k, options["tol"])
+            return object()
+
+        def fake_continue(sys, record, k_grid, **options):
+            seen["continue"] = (list(k_grid), options["tol"])
+            raise ValueError("stop")
+
+        monkeypatch.setattr(solve, "shoot", fake_shoot)
+        monkeypatch.setattr(solve, "continue_in_k", fake_continue)
+        config = parse_config(task_config("bonnet-myers", ("k_grid", "tolerance"),
+                                          tmp_path / "out"))
+        assert cli.run(config) == 1
+        assert seen == {"shoot": (0.5, 1e-10), "continue": ([1.0], 1e-10)}
+        assert "k" not in config.task
 
     def test_report_command(self, tmp_path):
         cfg = tmp_path / "rep.cfg"

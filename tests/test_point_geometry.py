@@ -45,6 +45,8 @@ CASES = {
     "sec_omega_k": (lambda sys, x, v, w: magcurv.sec_omega_k(sys, x, v, w, 0.7), ALL),
     "magnetic_ode_rhs": (lambda sys, x, v, w: flow.magnetic_ode_rhs(sys, flow.PhaseState(x, v)),
                          {"metric": 1, "dmetric": 1, "two_form": 1, "cholesky": 1}),
+    "acceleration_jacobian": (
+        lambda sys, x, v, w: geom.acceleration_jacobian(geom.PointGeometry(sys, x), v), ALL),
 }
 
 
@@ -166,9 +168,9 @@ def test_asymmetric_point_of_a_stack_is_named():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_fields_are_rejected_where_they_enter(value):
-    def bad_entry(x):  # zero, except the (0, 1) entry at points with x1 > 1.5
-        a = np.zeros(x.shape[:-1] + (2, 2))
-        a[..., 0, 1] = np.where(x[..., 0] > 1.5, value, 0.0)
+    def bad_entry(x, rank=2):  # zero, except the (0, 1, 0, ...) entry at points with x1 > 1.5
+        a = np.zeros(x.shape[:-1] + (2,) * rank)
+        a[(..., 0, 1) + (0,) * (rank - 2)] = np.where(x[..., 0] > 1.5, value, 0.0)
         return a
 
     def zero(x):
@@ -185,6 +187,19 @@ def test_non_finite_fields_are_rejected_where_they_enter(value):
     sys = geom.ChartedSystem(dim=2, metric=lambda x: np.eye(2) + zero(x), two_form=bad_entry)
     with pytest.raises(ValueError, match="two_form not finite" + at):
         sys.two_form_at(xs)
+    # the derivatives: analytic callbacks, and central differences of bad fields
+    analytic = geom.ChartedSystem(
+        dim=2, metric=lambda x: np.eye(2) + zero(x), two_form=zero, scheme="analytic",
+        dmetric=lambda x: bad_entry(x, 3), d2metric=lambda x: bad_entry(x, 4),
+        dtwo_form=lambda x: bad_entry(x, 3))
+    fd = geom.ChartedSystem(dim=2, metric=lambda x: np.eye(2) + bad_entry(x), two_form=bad_entry)
+    for sys in (analytic, fd):
+        for name, error in (("dmetric", DegenerateMetricError),
+                            ("d2metric", DegenerateMetricError), ("dtwo_form", ValueError)):
+            with pytest.raises(error, match=name + " not finite" + at):
+                getattr(sys, name + "_at")(xs)
+    with pytest.raises(DegenerateMetricError, match="dmetric not finite"):
+        flow.integrate(analytic, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 3.0)
 
 
 FIELDS = ("g", "ginv", "dg", "d2g", "sigma", "dsigma", "theta", "gamma", "dgamma",
@@ -277,3 +292,26 @@ def test_lorentz_operator_g_antisymmetric(sys, seed):
     g_om = stack.g @ stack.omega
     sym = g_om + np.swapaxes(g_om, -1, -2)
     assert float(np.max(np.abs(sym))) <= 1e-12 * float(np.max(np.abs(g_om)))
+
+
+@given(trig_systems, st.integers(0, 2 ** 16))
+@settings(max_examples=10, deadline=None)
+def test_acceleration_jacobian_matches_central_differences(trig_system, seed):
+    """J_x and J_v against central differences of the acceleration in x and
+    in v, on a stack of points in [0.5, 2 pi)^n (clear of the boundary x2 = 0
+    of the hyperbolic chart).  Under the fd scheme J_x holds the roundoff of
+    the second differences of g."""
+    h = 1e-5
+    for sys in [trig_system, dataclasses.replace(trig_system, scheme="fd")] + OTHER_SYSTEMS:
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0.5, 2.0 * np.pi, size=(2, 3, sys.dim))
+        v = rng.normal(size=xs.shape)
+        pg = geom.PointGeometry(sys, xs)
+        jx, jv = geom.acceleration_jacobian(pg, v)
+        for m, e in enumerate(h * np.eye(sys.dim)):
+            dx = (geom.acceleration(geom.PointGeometry(sys, xs + e), v)
+                  - geom.acceleration(geom.PointGeometry(sys, xs - e), v)) / (2.0 * h)
+            dv = (geom.acceleration(pg, v + e) - geom.acceleration(pg, v - e)) / (2.0 * h)
+            tol = 1e-4 if sys.scheme == "fd" else 1e-8
+            assert _rel_err(dx, jx[..., m], max(1.0, _top(jx))) <= tol, (sys.name, sys.scheme)
+            assert _rel_err(dv, jv[..., m], max(1.0, _top(jv))) <= 1e-8, (sys.name, sys.scheme)
