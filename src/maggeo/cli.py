@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import flow, loop as loop_mod, magcurv, solve
-from .config import load_config
+from .config import COMMAND_KEYS, load_config
 from .errors import ConfigError, MaggeoError
 from .io import dump_csv, dump_json
 
@@ -315,6 +315,10 @@ def main(argv=None):
         return 2
 
     if args.seed is not None:
+        if "seed" not in sum(COMMAND_KEYS[config.command], ()):
+            print(f"config error: --seed: not read by command {config.command!r}",
+                  file=sys.stderr)
+            return 2
         config.task["seed"] = args.seed
     if args.out is not None:
         config.output["dir"] = args.out

@@ -204,8 +204,9 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
 
     wrapped = sys.wrap(states[:, :n])
 
-    g = geom.PointGeometry(sys, states[:, :n]).g
-    energies = 0.5 * np.einsum("mi,mij,mj->m", states[:, n:], g, states[:, n:])
+    pg = geom.PointGeometry(sys, states[:, :n])
+    pg.ginv   # the orbit's one SPD check of g: a Cholesky factorisation of its samples
+    energies = 0.5 * np.einsum("mi,mij,mj->m", states[:, n:], pg.g, states[:, n:])
     drift = float(np.max(np.abs(energies - e0)))
 
     # closure against t = 0, after lattice reduction / chart canonicalization
@@ -246,7 +247,7 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
 
     Solves y' = f(y), Phi' = A Phi, Phi(0) = I for y = (x, v) with the
     scheme of ``integrate`` and no dense output, where A = [[0, I],
-    [J_x, J_v]] is the derivative of f (``geom.acceleration_jacobian``).
+    [J_x, J_v]] is the derivative of f (``geom.acceleration_and_jacobian``).
     At a chart swap the state goes through the transition and Phi through
     its tangent map plus the saltation term of the moving swap time, which
     vanishes when the transition carries the flow of one chart onto the
@@ -258,12 +259,9 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
     state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
 
     def rhs(t, y):
-        v = y[n:m]
-        phi = y[m:].reshape(m, m)
-        pg = geom.PointGeometry(sys, y[:n])
-        jx, jv = geom.acceleration_jacobian(pg, v)
-        dphi = np.concatenate([phi[n:], jx @ phi[:n] + jv @ phi[n:]])
-        return np.concatenate([v, geom.acceleration(pg, v), dphi.ravel()])
+        v, phi = y[n:m], y[m:].reshape(m, m)
+        a, jx, jv = geom.acceleration_and_jacobian(geom.PointGeometry(sys, y[:n]), v)
+        return np.concatenate([v, a, phi[n:].ravel(), (jx @ phi[:n] + jv @ phi[n:]).ravel()])
 
     def swap(y):
         y_old, phi = y[:m], y[m:].reshape(m, m)
@@ -279,6 +277,7 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
         sys, rhs, np.concatenate([state0.x, state0.v, np.eye(m).ravel()]),
         t_end, tolerance, swap, dense_output=False)
     y_end = y_cur[:m]
+    geom.PointGeometry(sys, np.stack([state0.x, y_end[:n]])).ginv   # SPD check of g at both ends
     # Phi and f(y_end) as the columns of one matrix, for the map back below
     cols = np.column_stack([y_cur[m:].reshape(m, m), _vector_field(sys, y_end)])
     if swaps % 2 == 1:

@@ -34,6 +34,10 @@ fields are cached the same way, each computed once for the whole stack, and
 functions below take a point or a ``PointGeometry`` as ``x``, the functions
 of vectors one point, and those of the magnetic geodesic equation a
 ``PointGeometry`` ``pg`` and vectors ``v``, ``V`` with its leading axes.
+The equation reads only the fields and solves with g, so it factorises no
+metric: the flow checks g positive-definite once per integration, on the
+stack of its sampled points (``flow.integrate``) or of its two ends
+(``flow.integrate_variational``), not at each step.
 ``ChartedSystem`` values are immutable.
 """
 
@@ -286,9 +290,7 @@ class PointGeometry:
         try:
             cho = np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
-            lowest = np.linalg.eigvalsh(self.g).reshape(-1, self.sys.dim)[:, 0]
-            bad = self.x.reshape(-1, self.sys.dim)[np.argmax(~(lowest > 0.0))]  # first failure
-            raise DegenerateMetricError(f"degenerate metric at x={bad!r}") from None
+            raise _degenerate(self, ~(np.linalg.eigvalsh(self.g)[..., 0] > 0.0)) from None
         inv_l = np.linalg.inv(cho)
         return np.swapaxes(inv_l, -1, -2) @ inv_l
 
@@ -310,6 +312,13 @@ class PointGeometry:
         # d_i Om = g^{-1} (d_i sigma - (d_i g) Om), from d_i (g Om) = d_i sigma
         return np.einsum("...ka,...aji->...kji", self.ginv,
                          self.dsigma - np.einsum("...abi,...bj->...aji", self.dg, self.omega))
+
+
+def _degenerate(pg, bad):
+    """The ``DegenerateMetricError`` of the first point of pg where ``bad``
+    (one flag per point) holds."""
+    first = pg.x.reshape(-1, pg.sys.dim)[np.argmax(bad.reshape(-1))]
+    return DegenerateMetricError(f"degenerate metric at x={first!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -436,42 +445,86 @@ def nabla_omega(sys, x, w, v):
 
 # ---------------------------------------------------------------------------
 # the magnetic geodesic equation and magnetic transport
+#
+# These read g, dg and sigma (d2g and dsigma for the Jacobian) and solve with
+# g once, forming no Christoffel tensor and no Cholesky factor: with the
+# lowered connection Gamma_flat(v, w) = g Gamma(v, w), the acceleration is
+# a = g^{-1} (sigma v - Gamma_flat(v, v)).
+
+
+def _along_first(w, t):
+    """w^j t[j, ...]: the vectors w against the first axis of the tensors t
+    of the stack."""
+    k = w.ndim - 1   # the leading axes
+    return (w[..., None, :] @ t.reshape(t.shape[:k] + (w.shape[-1], -1))).reshape(
+        t.shape[:k] + t.shape[k + 1:])
+
+
+def _lowered_connection(dg, v):
+    """Gamma_flat(v, .)[l, m] = (1/2)(d_v g_ml + v^i d_m g_il - v^i d_l g_im),
+    as one (n, n) matrix per point, from dg alone."""
+    p = _along_first(v, dg)   # p[l, m] = v^i d_m g_il
+    return 0.5 * (((dg @ v[..., None, :, None])[..., 0] - p).swapaxes(-1, -2) + p)
+
+
+def _metric_solve(pg, rhs=None):
+    """g^{-1} rhs for a stack of (n, k) right-hand sides, or g^{-1}; a
+    singular g raises ``DegenerateMetricError`` naming its first point."""
+    try:
+        return np.linalg.inv(pg.g) if rhs is None else np.linalg.solve(pg.g, rhs)
+    except np.linalg.LinAlgError:
+        raise _degenerate(pg, ~(np.abs(np.linalg.det(pg.g)) > 0.0)) from None
 
 
 def acceleration(pg, v):
     """dv/dt = Om v - Gamma(v, v) of the flow."""
-    return (pg.omega @ v[..., None])[..., 0] - np.einsum("...kij,...i,...j->...k", pg.gamma, v, v)
+    force = (pg.sigma - _lowered_connection(pg.dg, v)) @ v[..., None]
+    return _metric_solve(pg, force)[..., 0]
+
+
+def acceleration_and_jacobian(pg, v):
+    """(a, J_x, J_v): ``acceleration(pg, v)`` and its derivatives by the point
+    and by v, from one inversion of g:
+    J_x[:, m] = g^{-1}(d_m sigma v - d_m Gamma_flat(v, v) - d_m g a),
+    J_v = g^{-1}(sigma - 2 Gamma_flat(v, .)).  d_m Gamma_flat(v, v) is d2g
+    against v twice; the derivative index of d2g stays last."""
+    ginv = _metric_solve(pg)
+    conn = _lowered_connection(pg.dg, v)
+    a = (ginv @ ((pg.sigma - conn) @ v[..., None]))[..., 0]
+    w = _along_first(v, pg.d2g)   # w[l, i, m] = v^j d_i d_m g_jl
+    dconn = (v[..., None, None, :] @ w)[..., 0, :] - 0.5 * _along_first(v, w)
+    dforce = (v[..., None, None, :] @ pg.dsigma - a[..., None, None, :] @ pg.dg)[..., 0, :]
+    return a, ginv @ (dforce - dconn), ginv @ (pg.sigma - 2.0 * conn)
 
 
 def acceleration_jacobian(pg, v):
-    """(J_x, J_v), the derivatives of ``acceleration(pg, v)`` by the point and by v:
-    J_x[k, m] = d_m Om^k_j v^j - d_m Gamma^k_ij v^i v^j, J_v = Om - 2 Gamma(v, .)."""
-    column = v[..., None, :, None]   # v against the last axis of each (n, n) block
-    jx = ((pg.domega.swapaxes(-1, -2) @ column)[..., 0]
-          - np.einsum("...kijm,...i,...j->...km", pg.dgamma, v, v))
-    return jx, pg.omega - 2.0 * (pg.gamma @ column)[..., 0]
+    """(J_x, J_v) of ``acceleration_and_jacobian``."""
+    return acceleration_and_jacobian(pg, v)[1:]
 
 
 def transport_rate(pg, v, V):
     """dV/dt = Omega_tilde(V) - Gamma(v, V) of magnetic transport along v."""
-    return _omega_tilde(pg, v, V) - np.einsum("...kij,...i,...j->...k", pg.gamma, v, V)
+    return _omega_tilde(pg, v, V, (_lowered_connection(pg.dg, v) @ V[..., None])[..., 0])
 
 
-def _omega_tilde(pg, v, V):
-    """``flow.omega_tilde``, split along v (only its direction counts)."""
-    v2 = np.einsum("...i,...ij,...j->...", v, pg.g, v)
+def _omega_tilde(pg, v, V, lowered=0.0):
+    """``flow.omega_tilde`` minus g^{-1} lowered, split along v (only its
+    direction counts), from one solve with g on the right-hand sides
+    [sigma V_1 - lowered | sigma V | sigma V_2]."""
+    V = np.asarray(V, dtype=float)
+    gv = (pg.g @ v[..., None])[..., 0]
+    v2 = np.sum(v * gv, axis=-1)
     if np.any(v2 <= 0.0):
         raise ValueError("zero velocity: projections undefined")
 
     def par(w):
-        return (np.einsum("...i,...ij,...j->...", w, pg.g, v) / v2)[..., None] * v
-
-    def om_of(w):
-        return np.einsum("...kj,...j->...k", pg.omega, w)
+        return (np.sum(w * gv, axis=-1) / v2)[..., None] * v
 
     v1 = par(V)
-    ov2 = om_of(V - v1)
-    return om_of(v1) + par(om_of(V)) + 0.5 * (ov2 - par(ov2))
+    rhs = pg.sigma @ np.stack([v1, V, V - v1], axis=-1)
+    rhs[..., 0] -= lowered
+    om = _metric_solve(pg, rhs)
+    return om[..., 0] + par(om[..., 1]) + 0.5 * (om[..., 2] - par(om[..., 2]))
 
 
 # ---------------------------------------------------------------------------

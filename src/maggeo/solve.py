@@ -512,14 +512,15 @@ def _closing_jacobian(sys, u):
     With D the s-derivative matrix the residual applies (Nyquist mode
     zeroed) and (J_x, J_v)_i = da/d(x, v) at the velocity xdot_i/T, the force
     rows xddot - T^2 a(xdot/T) are  D^2 (x) I - T [J_v_i] D - T^2 blockdiag(J_x_i),
-    with -T Om_i xdot_i in the log T column; the energy row differentiates
+    with -T Om_i xdot_i = T (J_v_i xdot_i - 2 T a_i), a_i = a(xdot_i/T), in the
+    log T column; the energy row differentiates
     N k - sum_i |xdot_i|_g^2 / (2 T^2).
     """
     pg, xdot, T = _closing_state(sys, u)
     n_nodes, n = xdot.shape
     d = loop_mod.spectral_derivative(np.eye(n_nodes))
     dlog = 1.0 if abs(u[-1]) < 30.0 else 0.0   # d log T / du[-1] under the clip
-    jx, jv = geom.acceleration_jacobian(pg, xdot / T)
+    a, jx, jv = geom.acceleration_and_jacobian(pg, xdot / T)
     blocks = np.einsum("ij,ikm->ikjm", d, -T * jv)
     nodes = np.arange(n_nodes)
     blocks[nodes, :, nodes, :] -= T ** 2 * jx
@@ -527,7 +528,7 @@ def _closing_jacobian(sys, u):
     dspeed2 = np.einsum("iabm,ia,ib->im", pg.dg, xdot, xdot)
     jac = np.empty((n_nodes * n + 1, n_nodes * n + 1))
     jac[:-1, :-1] = np.kron(d @ d, np.eye(n)) + blocks.reshape(n_nodes * n, n_nodes * n)
-    jac[:-1, -1] = -dlog * T * np.einsum("ikj,ij->ik", pg.omega, xdot).ravel()
+    jac[:-1, -1] = dlog * T * (np.einsum("ikj,ij->ik", jv, xdot) - 2.0 * T * a).ravel()
     jac[-1, :-1] = -(d.T @ gxdot + 0.5 * dspeed2).ravel() / T ** 2
     jac[-1, -1] = dlog * float(np.sum(gxdot * xdot)) / T ** 2
     return jac

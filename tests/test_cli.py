@@ -272,6 +272,17 @@ class TestCommands:
         cli.main(["--config", path, "--seed", "99"])
         assert (tmp_path / "out" / "curvature.csv").read_bytes() != base
 
+    @pytest.mark.parametrize("command", sorted(cmd for cmd, keys in COMMAND_KEYS.items()
+                                               if "seed" not in keys[0] + keys[1]))
+    def test_seed_override_rejected_where_unread(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(task_config(command, COMMAND_KEYS[command][0], out))
+        assert cli.main(["--config", str(path), "--seed", "7"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --seed: not read by command {command!r}\n")
+        assert not out.exists()
+
     def test_scan_and_theorem_b(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         out_dir = tmp_path / "outs"

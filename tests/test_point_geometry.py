@@ -1,9 +1,12 @@
 """Evaluation counts: each field callback is called, and the metric
-factorised, once per point or stack of points; a callback that ignores the
-stack axis is rejected; and a stack of points has the geometry of each of
-its points, for every builtin and for expression systems."""
+factorised, once per point or stack of points, and the magnetic geodesic
+equation factorises no metric at all; a callback that ignores the stack axis
+is rejected; a stack of points has the geometry of each of its points, and
+the equation equals the contractions of its tensors, for every builtin and
+for expression systems."""
 
 import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -35,6 +38,7 @@ def counted(monkeypatch):
 
 
 ALL = dict.fromkeys(CALLBACKS + ("cholesky",), 1)
+EQUATION = {"metric": 1, "dmetric": 1, "two_form": 1}   # no Cholesky factorisation
 CASES = {
     "riemann_tensor": (lambda sys, x, v, w: geom.riemann_tensor(sys, x),
                        {"metric": 1, "dmetric": 1, "d2metric": 1, "cholesky": 1}),
@@ -44,9 +48,12 @@ CASES = {
     "ric_omega_k": (lambda sys, x, v, w: magcurv.ric_omega_k(sys, x, v, 0.7), ALL),
     "sec_omega_k": (lambda sys, x, v, w: magcurv.sec_omega_k(sys, x, v, w, 0.7), ALL),
     "magnetic_ode_rhs": (lambda sys, x, v, w: flow.magnetic_ode_rhs(sys, flow.PhaseState(x, v)),
-                         {"metric": 1, "dmetric": 1, "two_form": 1, "cholesky": 1}),
+                         EQUATION),
     "acceleration_jacobian": (
-        lambda sys, x, v, w: geom.acceleration_jacobian(geom.PointGeometry(sys, x), v), ALL),
+        lambda sys, x, v, w: geom.acceleration_jacobian(geom.PointGeometry(sys, x), v),
+        dict.fromkeys(CALLBACKS, 1)),
+    "transport_rate": (
+        lambda sys, x, v, w: geom.transport_rate(geom.PointGeometry(sys, x), v, w), EQUATION),
 }
 
 
@@ -123,7 +130,75 @@ def test_closing_residual_is_one_stack(counted):
     fvec = solve._closing_system(sys, 0.5)
     counts.clear()
     fvec(np.concatenate([loop.nodes.ravel(), [np.log(loop.period)]]))
-    assert dict(counts) == {"metric": 1, "dmetric": 1, "two_form": 1, "cholesky": 1}
+    assert dict(counts) == EQUATION
+
+
+@pytest.fixture
+def touched(monkeypatch):
+    """The tensors of a PointGeometry read (name and shape of its points),
+    of those the magnetic geodesic equation does without."""
+    log = []
+    for name in ("gamma", "dgamma", "omega", "domega", "ginv"):
+        def read(pg, name=name, cached=vars(geom.PointGeometry)[name]):
+            log.append((name, pg.x.shape))
+            return cached.__get__(pg, geom.PointGeometry)
+        monkeypatch.setattr(geom.PointGeometry, name, property(read))
+    return log
+
+
+def test_flow_steps_factorise_no_metric(counted, touched):
+    """No RHS call of the flow reads Gamma, dGamma, Om, dOm or g^{-1}:
+    ``integrate`` checks g positive-definite by one Cholesky factorisation of
+    its sample stack, ``integrate_variational`` by one of its two ends."""
+    sys, counts = counted
+    state = flow.PhaseState([0.3, 1.1, 2.0], [0.4, -0.2, 0.3])
+    counts.clear()
+    orbit = flow.integrate(sys, state, 2.0, samples=17)
+    assert orbit.meta["nfev"] > 100
+    assert touched == [("ginv", (17, 3))]
+    assert counts["cholesky"] == 1
+    touched.clear()
+    counts.clear()
+    assert flow.integrate_variational(sys, state, 2.0).nfev > 100
+    assert touched == [("ginv", (2, 3))]
+    assert counts["cholesky"] == 1
+
+
+def test_closing_jacobian_inverts_the_metric_once(counted, touched, monkeypatch):
+    sys, counts = counted
+    loop = _wobbly_loop(12)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: counts.update(["inv"]) or inv(a))
+    counts.clear()
+    solve._closing_jacobian(sys, np.concatenate([loop.nodes.ravel(), [np.log(loop.period)]]))
+    assert dict(counts) == dict.fromkeys(CALLBACKS + ("inv",), 1)
+    assert touched == []
+
+
+def test_singular_metric_in_the_step_is_named():
+    def metric(x):   # the identity for x1 < 1, diag(1, 0) for x1 >= 1
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.where(x[..., 0] < 1.0, 1.0, 0.0)
+        return g
+
+    def zero(rank):
+        return lambda x: np.zeros(x.shape[:-1] + (2,) * rank)
+
+    sys = geom.ChartedSystem(dim=2, metric=metric, two_form=zero(2), scheme="analytic",
+                             dmetric=zero(3), d2metric=zero(4), dtwo_form=zero(3))
+    xs = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.25], [3.0, 0.0]])
+    pg, v = geom.PointGeometry(sys, xs), np.ones_like(xs)
+    for kernel in (geom.acceleration, geom.acceleration_and_jacobian,
+                   lambda pg, v: geom.transport_rate(pg, v, v)):
+        with pytest.raises(DegenerateMetricError,
+                           match=r"degenerate metric at x=array\(\[2\. *, 0\.25\]\)"):
+            kernel(pg, v)
+    # the flow runs along the x1 axis into the singular half-plane
+    for integrate in (flow.integrate, flow.integrate_variational):
+        with pytest.raises(DegenerateMetricError, match="degenerate metric at x=") as info:
+            integrate(sys, flow.PhaseState([0.0, 0.3], [1.0, 0.0]), 3.0)
+        assert float(re.search(r"\[([^,]+),", str(info.value)).group(1)) >= 1.0
 
 
 def test_curvature_command_evaluates_each_sample_once(counted, tmp_path):
@@ -315,3 +390,54 @@ def test_acceleration_jacobian_matches_central_differences(trig_system, seed):
             tol = 1e-4 if sys.scheme == "fd" else 1e-8
             assert _rel_err(dx, jx[..., m], max(1.0, _top(jx))) <= tol, (sys.name, sys.scheme)
             assert _rel_err(dv, jv[..., m], max(1.0, _top(jv))) <= 1e-8, (sys.name, sys.scheme)
+
+
+def _equation_by_tensors(pg, v, V):
+    """The acceleration, its Jacobian (J_x, J_v) and the transport rate as
+    contractions of Gamma, dGamma, Om and dOm, with the scale of the terms
+    each is a difference of."""
+    gvv = np.einsum("...kij,...i,...j->...k", pg.gamma, v, v)
+    gv = np.einsum("...kij,...i->...kj", pg.gamma, v)
+    omv = np.einsum("...kj,...j->...k", pg.omega, v)
+    dom_v = np.einsum("...kjm,...j->...km", pg.domega, v)
+    dgvv = np.einsum("...kijm,...i,...j->...km", pg.dgamma, v, v)
+    v2 = np.einsum("...i,...ij,...j->...", v, pg.g, v)
+
+    def par(w):
+        return (np.einsum("...i,...ij,...j->...", w, pg.g, v) / v2)[..., None] * v
+
+    def om(w):
+        return np.einsum("...kj,...j->...k", pg.omega, w)
+
+    v1 = par(V)
+    ov2 = om(V - v1)
+    gvV = np.einsum("...kj,...j->...k", gv, V)
+    tilde = om(v1) + par(om(V)) + 0.5 * (ov2 - par(ov2))
+    ref = (omv - gvv, dom_v - dgvv, pg.omega - 2.0 * gv, tilde - gvV)
+    dgam_terms = _top(pg.ginv) * (_top(pg.d2g) + _top(pg.dg) * _top(pg.gamma)) * _top(v) ** 2
+    scales = (_top(omv) + _top(gvv), _scale(pg, "domega") * _top(v) + dgam_terms,
+              _top(pg.omega) + 2.0 * _top(gv), _top(tilde) + _top(gvV))
+    return ref, scales
+
+
+@given(trig_systems, st.integers(0, 2 ** 16))
+@settings(max_examples=10, deadline=None)
+def test_equation_matches_tensor_contractions(trig_system, seed):
+    """acceleration, acceleration_jacobian and transport_rate, formed from dg,
+    d2g and solves with g, equal the contractions of the Christoffel and
+    Lorentz tensors, at a stack of points and at a single point."""
+    for sys in [trig_system] + OTHER_SYSTEMS:
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0.5, 2.0 * np.pi, size=(2, 3, sys.dim))
+        v, V = rng.normal(size=(2,) + xs.shape)
+        for idx in ((), (1, 2)):   # the stack, and one of its points alone
+            pg = geom.PointGeometry(sys, xs[idx])
+            got = (geom.acceleration(pg, v[idx]), *geom.acceleration_jacobian(pg, v[idx]),
+                   geom.transport_rate(pg, v[idx], V[idx]))
+            ref, scales = _equation_by_tensors(pg, v[idx], V[idx])
+            a, jx, jv = geom.acceleration_and_jacobian(pg, v[idx])
+            assert np.array_equal(jx, got[1]) and np.array_equal(jv, got[2])
+            assert _rel_err(a, got[0], scales[0]) <= 1e-14
+            for name, mine, theirs, scale in zip(("a", "J_x", "J_v", "transport"),
+                                                 got, ref, scales):
+                assert _rel_err(mine, theirs, scale) <= 1e-13, (sys.name, sys.scheme, name)
