@@ -34,10 +34,14 @@ fields are cached the same way, each computed once for the whole stack, and
 functions below take a point or a ``PointGeometry`` as ``x``, the functions
 of vectors one point, and those of the magnetic geodesic equation a
 ``PointGeometry`` ``pg`` and vectors ``v``, ``V`` with its leading axes.
-The equation reads only the fields and solves with g, so it factorises no
-metric: the flow checks g positive-definite once per integration, on the
-stack of its sampled points (``flow.integrate``) or of its two ends
-(``flow.integrate_variational``), not at each step.
+The equation reads only the fields and solves with g, forming no g^{-1} of
+the ``PointGeometry``: at a single point, as in each flow step, by one
+LAPACK Cholesky solve, which rejects a g that is not positive-definite; on a
+stack by LU, which rejects only a singular g.  The flow also factorises a
+stack once per integration: its sampled points (``flow.integrate``) or its
+two ends (``flow.integrate_variational``).  ``PointGeometry.frame`` is the
+g-orthonormal frame L^{-T} of the stack's Cholesky factor g = L L^T, and
+``orthonormal_completion`` completes unit vectors at every point of a stack.
 ``ChartedSystem`` values are immutable.
 """
 
@@ -45,10 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .errors import DegenerateMetricError, DerivativeStepError, FrameError
 
@@ -230,7 +234,7 @@ def _check_symmetry(a, x, sign, error, name):
     has a non-finite entry or differs from sign * its transpose by more than
     _SYM_TOL max(1, |a|)."""
     diff = a - a.swapaxes(-1, -2) if sign > 0 else a + a.swapaxes(-1, -2)
-    if not diff.any():   # exactly (anti)symmetric, hence finite: the common case
+    if not np.count_nonzero(diff):   # exactly (anti)symmetric, hence finite: the common case
         return
     finite = np.isfinite(a).all(axis=(-1, -2)).reshape(-1)
     scale = np.maximum(1.0, np.abs(a).max(axis=(-1, -2)))
@@ -245,10 +249,29 @@ def _check_symmetry(a, x, sign, error, name):
 # everything at one point
 
 
+class _lazy:
+    """An attribute computed by ``fn(instance)`` on first read and then kept
+    in the instance's ``__dict__``, which later reads find first.  Unlike
+    ``functools.cached_property`` it takes no lock: a PointGeometry belongs
+    to the one caller that made it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _field(method):
     """A field of the system, evaluated and checked by ``sys.<method>`` in one
     call for the point or stack."""
-    return cached_property(lambda pg: getattr(pg.sys, method)(pg.x))
+    return _lazy(lambda pg: getattr(pg.sys, method)(pg.x))
 
 
 class PointGeometry:
@@ -256,8 +279,9 @@ class PointGeometry:
     ``ginv``, ``dg``, ``d2g``, ``sigma``, ``dsigma``, and the primitive
     ``theta`` of systems that have one) and the tensors built from them
     (``gamma``, ``dgamma``, ``riemann``, ``omega``, ``domega``,
-    ``nabla_omega``), each computed at most once, on first use; indices as
-    in the module docstring, after the leading axes of ``x``."""
+    ``nabla_omega``, and the g-orthonormal ``frame``), each computed at most
+    once, on first use; indices as in the module docstring, after the
+    leading axes of ``x``."""
 
     def __init__(self, sys, x):
         self.sys = sys
@@ -280,21 +304,28 @@ class PointGeometry:
     sigma = _field("two_form_at")
     dsigma = _field("dtwo_form_at")
     theta = _field("primitive_at")
-    gamma = cached_property(lambda pg: christoffel(pg.sys, pg))
-    riemann = cached_property(lambda pg: riemann_tensor(pg.sys, pg))
-    omega = cached_property(lambda pg: lorentz_matrix(pg.sys, pg))
-    nabla_omega = cached_property(lambda pg: nabla_omega_tensor(pg.sys, pg))
+    gamma = _lazy(lambda pg: christoffel(pg.sys, pg))
+    riemann = _lazy(lambda pg: riemann_tensor(pg.sys, pg))
+    omega = _lazy(lambda pg: lorentz_matrix(pg.sys, pg))
+    nabla_omega = _lazy(lambda pg: nabla_omega_tensor(pg.sys, pg))
 
-    @cached_property
-    def ginv(self):
+    @_lazy
+    def frame(self):
+        """L^{-T} for the Cholesky factor g = L L^T: the g-orthonormal frame
+        that ``coordinate_frame`` builds, upper triangular with a positive
+        diagonal; one factorisation of the whole stack, which also checks
+        every point's g positive-definite."""
         try:
             cho = np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
             raise _degenerate(self, ~(np.linalg.eigvalsh(self.g)[..., 0] > 0.0)) from None
-        inv_l = np.linalg.inv(cho)
-        return np.swapaxes(inv_l, -1, -2) @ inv_l
+        return np.swapaxes(np.linalg.inv(cho), -1, -2)
 
-    @cached_property
+    @_lazy
+    def ginv(self):
+        return self.frame @ np.swapaxes(self.frame, -1, -2)
+
+    @_lazy
     def dgamma(self):
         """dgamma[k, i, j, m] = d_m Gamma^k_ij."""
         d2g = self.d2g
@@ -306,7 +337,7 @@ class PointGeometry:
         return np.einsum("...kl,...lijm->...kijm", self.ginv,
                          0.5 * dterm - np.einsum("...lbm,...bij->...lijm", self.dg, self.gamma))
 
-    @cached_property
+    @_lazy
     def domega(self):
         """domega[k, j, i] = d_i Om[k, j], the coordinate derivative of Om."""
         # d_i Om = g^{-1} (d_i sigma - (d_i g) Om), from d_i (g Om) = d_i sigma
@@ -447,9 +478,12 @@ def nabla_omega(sys, x, w, v):
 # the magnetic geodesic equation and magnetic transport
 #
 # These read g, dg and sigma (d2g and dsigma for the Jacobian) and solve with
-# g once, forming no Christoffel tensor and no Cholesky factor: with the
-# lowered connection Gamma_flat(v, w) = g Gamma(v, w), the acceleration is
-# a = g^{-1} (sigma v - Gamma_flat(v, v)).
+# g once, forming no Christoffel tensor: with the lowered connection
+# Gamma_flat(v, w) = g Gamma(v, w), the acceleration is
+# a = g^{-1} (sigma v - Gamma_flat(v, v)).  At a single point the solve is
+# one LAPACK Cholesky solve, which also rejects a g that is not
+# positive-definite; a stack is solved by LU and checked only for
+# singularity.
 
 
 def _along_first(w, t):
@@ -468,17 +502,29 @@ def _lowered_connection(dg, v):
 
 
 def _metric_solve(pg, rhs=None):
-    """g^{-1} rhs for a stack of (n, k) right-hand sides, or g^{-1}; a
-    singular g raises ``DegenerateMetricError`` naming its first point."""
+    """g^{-1} rhs for a stack of (n, k) right-hand sides, or g^{-1}.  At a
+    single point this is one Cholesky solve, and a g that is not
+    positive-definite raises ``DegenerateMetricError`` naming the point; on
+    a stack a singular g raises it, naming its first point."""
+    g = pg.g
+    if g.ndim == 2:
+        _, out, info = dposv(g, np.eye(len(g)) if rhs is None else rhs)
+        if info > 0:
+            raise _degenerate(pg, np.array(True))
+        return out
     try:
-        return np.linalg.inv(pg.g) if rhs is None else np.linalg.solve(pg.g, rhs)
+        return np.linalg.inv(g) if rhs is None else np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
-        raise _degenerate(pg, ~(np.abs(np.linalg.det(pg.g)) > 0.0)) from None
+        raise _degenerate(pg, ~(np.abs(np.linalg.det(g)) > 0.0)) from None
 
 
 def acceleration(pg, v):
-    """dv/dt = Om v - Gamma(v, v) of the flow."""
-    force = (pg.sigma - _lowered_connection(pg.dg, v)) @ v[..., None]
+    """dv/dt = Om v - Gamma(v, v) of the flow, from the force
+    sigma v - Gamma_flat(v, v) = sigma v - (d_v g) v + (1/2) v^i v^j d g_ij."""
+    dg = pg.dg
+    dvg = (dg @ v[..., None, :, None])[..., 0]      # d_v g
+    vdg = (v[..., None, None, :] @ dg)[..., 0, :]   # vdg[i, l] = v^j d_l g_ij
+    force = (pg.sigma - dvg) @ v[..., None] + 0.5 * (v[..., None, :] @ vdg).swapaxes(-1, -2)
     return _metric_solve(pg, force)[..., 0]
 
 
@@ -532,36 +578,36 @@ def _omega_tilde(pg, v, V, lowered=0.0):
 
 
 def orthonormal_completion(sys, x, v):
-    """Complete unit v to a g-orthonormal frame, columns[0] = v.
+    """Complete unit v to a g-orthonormal frame, columns[0] = v, at a point
+    or at each point of a stack (v with the stack's leading axes).
 
     Gram-Schmidt over the coordinate basis, pivoting at each stage on the
-    candidate with the largest residual norm (deterministic and stable).
+    candidate with the largest residual norm (the first of equal ones), then
+    dropping the candidate most aligned with the accepted direction
+    (deterministic and stable).  The stages run for the whole stack at once.
     """
     g = PointGeometry.of(sys, x).g
-    n = g.shape[0]
+    n = g.shape[-1]
     v = np.asarray(v, dtype=float)
-    nv = float(np.sqrt(v @ g @ v))
-    if abs(nv - 1.0) > _UNIT_TOL:
+    nv = np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+    if np.any(np.abs(nv - 1.0) > _UNIT_TOL):
         raise FrameError("frame violation: |v|_g != 1")
-    frame = [v / nv]
-    candidates = list(np.eye(n))
+    frame = [v / nv[..., None]]
+    alive = np.ones(v.shape, dtype=bool)   # the coordinate vectors still candidates
     for _ in range(n - 1):
-        best, best_norm = None, -1.0
-        for c in candidates:
-            r = c.copy()
-            for e in frame:
-                r -= (r @ g @ e) * e
-            rn = float(np.sqrt(max(r @ g @ r, 0.0)))
-            if rn > best_norm:
-                best, best_norm = r, rn
-        if best_norm < 1e-9:
+        r = np.broadcast_to(np.eye(n), g.shape).copy()   # row c: the residual of e_c
+        for e in frame:
+            r -= ((r @ g) @ e[..., None]) * e[..., None, :]
+        rn = np.sqrt(np.maximum(np.einsum("...ci,...ij,...cj->...c", r, g, r), 0.0))
+        best = np.argmax(np.where(alive, rn, -1.0), axis=-1)[..., None]
+        best_norm = np.take_along_axis(rn, best, axis=-1)
+        if np.any(best_norm < 1e-9):
             raise FrameError("degenerate frame")
-        e_new = best / best_norm
+        e_new = np.take_along_axis(r, best[..., None], axis=-2)[..., 0, :] / best_norm
         frame.append(e_new)
-        # drop the coordinate vector most aligned with the accepted direction
-        overlaps = [abs(c @ g @ e_new) for c in candidates]
-        candidates.pop(int(np.argmax(overlaps)))
-    return np.column_stack(frame)
+        overlaps = np.where(alive, np.abs((g @ e_new[..., None])[..., 0]), -1.0)
+        np.put_along_axis(alive, np.argmax(overlaps, axis=-1)[..., None], False, axis=-1)
+    return np.stack(frame, axis=-1)
 
 
 def coordinate_frame(sys, x):

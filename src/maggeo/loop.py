@@ -510,11 +510,10 @@ class IndexReport:
 
 def loop_frame(sys, loop):
     """Periodic g-orthonormal frame along the loop (Gram-Schmidt of the
-    coordinate basis with a fixed pivot order), plus its s-derivative."""
-    pg = _loop_geometry(sys, loop).geometry
-    frames = np.array([geom.coordinate_frame(sys, pg[i]) for i in range(loop.n_nodes)])
-    dframes = spectral_derivative(frames)
-    return frames, dframes
+    coordinate basis with a fixed pivot order, ``PointGeometry.frame`` of the
+    node stack), plus its s-derivative."""
+    frames = _loop_geometry(sys, loop).geometry.frame
+    return frames, spectral_derivative(frames)
 
 
 def variation_basis(sys, loop, mode_count):

@@ -320,16 +320,12 @@ def orbit_curvature_extrema(sys, record, directions=16):
     pg, v = lg.geometry[::step], lg.unit[::step]   # shares what the loop has computed
     min_ric = np.min(magcurv.ric_omega_k(sys, pg, v, k))
     # unit normals at each node: the completion of v, and for dim > 2
-    # random combinations of it
-    rng = np.random.default_rng(0)
-    normals = []
-    for i in range(len(v)):
-        frame = geom.orthonormal_completion(sys, pg[i], v[i])[:, 1:]
-        if sys.dim > 2:
-            z = rng.standard_normal((directions, sys.dim - 1))
-            frame = np.column_stack([frame, frame @ (z / np.linalg.norm(z, axis=1)[:, None]).T])
-        normals.append(frame)
-    normals = np.array(normals)
+    # random combinations of it, drawn node after node
+    normals = geom.orthonormal_completion(sys, pg, v)[..., 1:]
+    if sys.dim > 2:
+        z = np.random.default_rng(0).standard_normal((len(v), directions, sys.dim - 1))
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        normals = np.concatenate([normals, normals @ z.swapaxes(-1, -2)], axis=-1)
     min_sec = min(np.min(magcurv.sec_omega_k(sys, pg, v, normals[..., j], k))
                   for j in range(normals.shape[-1]))
     return float(min_ric), float(min_sec)

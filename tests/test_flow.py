@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maggeo import flow, geom, systems
 from maggeo.errors import ChartExitError
@@ -181,3 +182,15 @@ class TestTransport:
         x_end = sphere_orbit.states[-1, :2]
         g = sphere.metric_at(x_end)
         assert np.max(np.abs(p_end.T @ g @ p_end - np.eye(2))) < 1e-8
+
+    @given(st.integers(0, 2 ** 16))
+    @settings(max_examples=5, deadline=None)
+    def test_end_map_orthogonal_in_dimension_three(self, seed):
+        # a short orbit (T = 1) of a random 3-D system, from a random state
+        sys = systems.random_trig_system(dim=3, seed=seed)
+        rng = np.random.default_rng(seed)
+        state = flow.PhaseState(rng.uniform(0.0, TWO_PI, 3), rng.normal(size=3))
+        orbit = flow.integrate(sys, state, 1.0, tolerance=1e-12, samples=9)
+        p_end = np.column_stack([tf.end_value for tf in flow.transport_frame(sys, orbit)])
+        g = sys.metric_at(orbit.states[-1, :3])
+        assert np.max(np.abs(p_end.T @ g @ p_end - np.eye(3))) < 1e-8

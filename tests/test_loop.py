@@ -234,17 +234,18 @@ class TestSineModes:
         assert form(torus, torus_loop, K, vsum) == pytest.approx(qa + qb, abs=1e-8)
 
 
-def _reversed_pivot_frame(sys, x):
-    """Gram-Schmidt of the coordinate basis at x in reversed pivot order."""
-    g = geom.PointGeometry.of(sys, x).g
-    n = g.shape[0]
+def _reversed_pivot_frame(pg):
+    """Gram-Schmidt of the coordinate basis in reversed pivot order, at each
+    point of the stack pg."""
+    g = pg.g
+    n = g.shape[-1]
     frame = []
     for idx in reversed(range(n)):
-        r = np.eye(n)[idx]
+        r = np.broadcast_to(np.eye(n)[idx], g.shape[:-1])
         for e in frame:
-            r = r - (r @ g @ e) * e
-        frame.append(r / np.sqrt(r @ g @ r))
-    return np.column_stack(frame)
+            r = r - np.einsum("...i,...ij,...j->...", r, g, e)[..., None] * e
+        frame.append(r / np.sqrt(np.einsum("...i,...ij,...j->...", r, g, r))[..., None])
+    return np.stack(frame, axis=-1)
 
 
 class TestMorseIndex:
@@ -263,7 +264,7 @@ class TestMorseIndex:
         r16 = loop_mod.morse_index(torus, torus_loop, K, mode_count=16)
         r32 = loop_mod.morse_index(torus, torus_loop, K, mode_count=32)
         assert r16.index == r32.index == 1
-        monkeypatch.setattr(geom, "coordinate_frame", _reversed_pivot_frame)
+        monkeypatch.setattr(geom.PointGeometry, "frame", property(_reversed_pivot_frame))
         frames, _ = loop_mod.loop_frame(torus, torus_loop)
         assert np.allclose(frames[0], [[0.0, 1.0], [1.0, 0.0]])
         for sys, lp in ((torus, torus_loop), (sphere, sphere_loop)):

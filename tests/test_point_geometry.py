@@ -1,6 +1,7 @@
 """Evaluation counts: each field callback is called, and the metric
 factorised, once per point or stack of points, and the magnetic geodesic
-equation factorises no metric at all; a callback that ignores the stack axis
+equation forms no g^{-1} of the PointGeometry, solving with g at each flow
+step by one LAPACK Cholesky solve; a callback that ignores the stack axis
 is rejected; a stack of points has the geometry of each of its points, and
 the equation equals the contractions of its tensors, for every builtin and
 for expression systems."""
@@ -38,7 +39,7 @@ def counted(monkeypatch):
 
 
 ALL = dict.fromkeys(CALLBACKS + ("cholesky",), 1)
-EQUATION = {"metric": 1, "dmetric": 1, "two_form": 1}   # no Cholesky factorisation
+EQUATION = {"metric": 1, "dmetric": 1, "two_form": 1}   # no g^{-1} of the PointGeometry
 CASES = {
     "riemann_tensor": (lambda sys, x, v, w: geom.riemann_tensor(sys, x),
                        {"metric": 1, "dmetric": 1, "d2metric": 1, "cholesky": 1}),
@@ -146,22 +147,34 @@ def touched(monkeypatch):
     return log
 
 
-def test_flow_steps_factorise_no_metric(counted, touched):
-    """No RHS call of the flow reads Gamma, dGamma, Om, dOm or g^{-1}:
-    ``integrate`` checks g positive-definite by one Cholesky factorisation of
-    its sample stack, ``integrate_variational`` by one of its two ends."""
+def test_flow_steps_solve_by_one_cholesky(counted, touched, monkeypatch):
+    """No RHS call of the flow reads Gamma, dGamma, Om, dOm or g^{-1}, or
+    reaches ``np.linalg.solve`` or ``inv``: each step solves with the g of
+    its point by one LAPACK Cholesky solve.  ``integrate`` checks g
+    positive-definite on its sample stack by one Cholesky factorisation,
+    ``integrate_variational`` on the stack of its two ends, each inverting
+    the factor once."""
     sys, counts = counted
+    for module, name in ((geom, "dposv"), (np.linalg, "solve"), (np.linalg, "inv")):
+        def count(*args, name=name, fn=getattr(module, name), **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, count)
     state = flow.PhaseState([0.3, 1.1, 2.0], [0.4, -0.2, 0.3])
     counts.clear()
     orbit = flow.integrate(sys, state, 2.0, samples=17)
     assert orbit.meta["nfev"] > 100
     assert touched == [("ginv", (17, 3))]
     assert counts["cholesky"] == 1
+    assert (counts["dposv"], counts["solve"], counts["inv"]) == (orbit.meta["nfev"], 0, 1)
     touched.clear()
     counts.clear()
-    assert flow.integrate_variational(sys, state, 2.0).nfev > 100
+    mono = flow.integrate_variational(sys, state, 2.0)
+    assert mono.nfev > 100
     assert touched == [("ginv", (2, 3))]
     assert counts["cholesky"] == 1
+    # one more Cholesky solve: the vector field at the end state
+    assert (counts["dposv"], counts["solve"], counts["inv"]) == (mono.nfev + 1, 0, 1)
 
 
 def test_closing_jacobian_inverts_the_metric_once(counted, touched, monkeypatch):
@@ -176,29 +189,40 @@ def test_closing_jacobian_inverts_the_metric_once(counted, touched, monkeypatch)
 
 
 def test_singular_metric_in_the_step_is_named():
-    def metric(x):   # the identity for x1 < 1, diag(1, 0) for x1 >= 1
+    def metric(x, far):   # the identity for x1 < 1, diag(1, far) for x1 >= 1
         g = np.zeros(x.shape[:-1] + (2, 2))
         g[..., 0, 0] = 1.0
-        g[..., 1, 1] = np.where(x[..., 0] < 1.0, 1.0, 0.0)
+        g[..., 1, 1] = np.where(x[..., 0] < 1.0, 1.0, far)
         return g
 
     def zero(rank):
         return lambda x: np.zeros(x.shape[:-1] + (2,) * rank)
 
-    sys = geom.ChartedSystem(dim=2, metric=metric, two_form=zero(2), scheme="analytic",
-                             dmetric=zero(3), d2metric=zero(4), dtwo_form=zero(3))
+    def system(far):
+        return geom.ChartedSystem(dim=2, metric=lambda x: metric(x, far), two_form=zero(2),
+                                  scheme="analytic", dmetric=zero(3), d2metric=zero(4),
+                                  dtwo_form=zero(3))
+
+    kernels = (geom.acceleration, geom.acceleration_and_jacobian,
+               lambda pg, v: geom.transport_rate(pg, v, v))
+    named = r"degenerate metric at x=array\(\[2\. *, 0\.25\]\)"
     xs = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.25], [3.0, 0.0]])
-    pg, v = geom.PointGeometry(sys, xs), np.ones_like(xs)
-    for kernel in (geom.acceleration, geom.acceleration_and_jacobian,
-                   lambda pg, v: geom.transport_rate(pg, v, v)):
-        with pytest.raises(DegenerateMetricError,
-                           match=r"degenerate metric at x=array\(\[2\. *, 0\.25\]\)"):
-            kernel(pg, v)
-    # the flow runs along the x1 axis into the singular half-plane
-    for integrate in (flow.integrate, flow.integrate_variational):
-        with pytest.raises(DegenerateMetricError, match="degenerate metric at x=") as info:
-            integrate(sys, flow.PhaseState([0.0, 0.3], [1.0, 0.0]), 3.0)
-        assert float(re.search(r"\[([^,]+),", str(info.value)).group(1)) >= 1.0
+    v = np.tile([1.0, 0.5], (4, 1))
+    # g singular (far = 0), or non-singular but indefinite (far = -1): a
+    # single point is solved by Cholesky, which rejects both; a stack is
+    # solved by LU, which rejects a singular g
+    for far, at in ((0.0, (slice(None), 2)), (-1.0, (2,))):
+        sys = system(far)
+        for i in at:
+            pg = geom.PointGeometry(sys, xs[i])
+            for kernel in kernels:
+                with pytest.raises(DegenerateMetricError, match=named):
+                    kernel(pg, v[i])
+        # the flow runs along the x1 axis into the half-plane x1 >= 1
+        for integrate in (flow.integrate, flow.integrate_variational):
+            with pytest.raises(DegenerateMetricError, match="degenerate metric at x=") as info:
+                integrate(sys, flow.PhaseState([0.0, 0.3], [1.0, 0.0]), 3.0)
+            assert float(re.search(r"\[([^,]+),", str(info.value)).group(1)) >= 1.0
 
 
 def test_curvature_command_evaluates_each_sample_once(counted, tmp_path):
@@ -349,6 +373,62 @@ def test_stack_matches_each_point(trig_system, seed):
                                _scale(single, name))
                 assert err <= 1e-12, (sys.name, name)
                 assert np.array_equal(getattr(stack[idx], name), getattr(stack, name)[idx])
+
+
+def _pivoted_gram_schmidt(g, v):
+    """The per-point ``orthonormal_completion`` that the stack form
+    replaced, and the coordinate index of each accepted candidate."""
+    n = g.shape[0]
+    frame = [v / float(np.sqrt(v @ g @ v))]
+    candidates = list(range(n))
+    pivots = []
+    for _ in range(n - 1):
+        best, best_norm = None, -1.0
+        for c in candidates:
+            r = np.eye(n)[c]
+            for e in frame:
+                r -= (r @ g @ e) * e
+            rn = float(np.sqrt(max(r @ g @ r, 0.0)))
+            if rn > best_norm:
+                best, best_norm, pivot = r, rn, c
+        e_new = best / best_norm
+        frame.append(e_new)
+        pivots.append(pivot)
+        # drop the coordinate vector most aligned with the accepted direction
+        overlaps = [abs(np.eye(n)[c] @ g @ e_new) for c in candidates]
+        candidates.pop(int(np.argmax(overlaps)))
+    return np.column_stack(frame), tuple(pivots)
+
+
+@given(trig_systems, st.integers(0, 2 ** 16))
+@settings(max_examples=10, deadline=None)
+def test_stack_frames_match_each_point(trig_system, seed):
+    """On a (2, 3, n) stack whose points pivot differently,
+    ``orthonormal_completion`` equals the per-point pivoted Gram-Schmidt,
+    and ``PointGeometry.frame`` and ``loop_frame`` equal the per-point
+    ``coordinate_frame``."""
+    for sys in [trig_system] + OTHER_SYSTEMS:
+        pg = _stack(sys, seed)
+        n = sys.dim
+        v = np.random.default_rng(seed).normal(size=pg.x.shape)
+        v[0, 0], v[0, 1] = np.eye(n)[0], np.eye(n)[-1]   # e_0 and e_{n-1} cannot pivot
+        v /= np.sqrt(np.einsum("...i,...ij,...j->...", v, pg.g, v))[..., None]
+        completion = geom.orthonormal_completion(sys, pg, v)
+        pivots = set()
+        for idx in np.ndindex(pg.x.shape[:-1]):
+            ref, pivot = _pivoted_gram_schmidt(pg.g[idx], v[idx])
+            pivots.add(pivot)
+            assert _rel_err(completion[idx], ref, _top(ref)) <= 1e-12, sys.name
+            coord = geom.coordinate_frame(sys, pg.x[idx])
+            assert _rel_err(pg.frame[idx], coord, _top(coord)) <= 1e-12, sys.name
+        assert len(pivots) > 1
+        # a loop of 12 nodes in [0.5, 3.5)^n (clear of x2 = 0 of the hyperbolic chart)
+        center = np.random.default_rng(seed).uniform(1.0, 3.0, n)
+        nodes = center + 0.5 * np.cos(2.0 * np.pi * np.arange(12)[:, None] / 12 + np.arange(n))
+        frames, _ = loop_mod.loop_frame(sys, loop_mod.DiscreteLoop(nodes, period=1.0))
+        for i, x in enumerate(nodes):
+            coord = geom.coordinate_frame(sys, x)
+            assert _rel_err(frames[i], coord, _top(coord)) <= 1e-12, sys.name
 
 
 @given(trig_systems, st.integers(0, 2 ** 16))
