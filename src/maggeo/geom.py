@@ -561,6 +561,10 @@ def _omega_tilde(pg, v, V, lowered=0.0):
     gv = (pg.g @ v[..., None])[..., 0]
     v2 = np.sum(v * gv, axis=-1)
     if np.any(v2 <= 0.0):
+        # v g v <= 0 for a nonzero v only where g is not positive-definite
+        not_spd = (v2 <= 0.0) & ~(np.linalg.eigvalsh(pg.g)[..., 0] > 0.0)
+        if np.any(not_spd):
+            raise _degenerate(pg, not_spd)
         raise ValueError("zero velocity: projections undefined")
 
     def par(w):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -268,10 +268,15 @@ def eta_k(sys, loop, k, variation):
 
 def eta_norm(sys, loop, k):
     """Upper estimate of the dual norm of eta at the loop (L2-dual of the
-    nodal representative; an upper bound for the H1 dual norm)."""
-    force, c_tau, lg = _force_residual(sys, loop, k)
-    sq = float(np.einsum("nk,nkl,nl->", force, lg.g, force)) / loop.n_nodes
-    return float(np.sqrt(loop.period * sq + c_tau ** 2))
+    nodal representative; an upper bound for the H1 dual norm), computed
+    once per loop, system and k."""
+    key = ("eta", id(sys), k)
+    cache = loop._cache
+    if key not in cache:
+        force, c_tau, lg = _force_residual(sys, loop, k)
+        sq = float(np.einsum("nk,nkl,nl->", force, lg.g, force)) / loop.n_nodes
+        cache[key] = float(np.sqrt(loop.period * sq + c_tau ** 2))
+    return cache[key]
 
 
 def eta_gate(loop):
@@ -288,50 +293,67 @@ def _require_critical(sys, loop, k):
 
 # ---------------------------------------------------------------------------
 # Hessian of the action form
+#
+# The index forms pair m variations at once.  A stack holds them along its
+# last axis: values and covariant s-derivatives as (N, n, m) arrays, period
+# coefficients as (m,).  A per-node n x n matrix then acts on all m of them
+# by one matmul over the node axis, and a pairing is one matmul over the
+# flattened (N n) axis.
 
 
-def _stack_variations(lg, variations):
-    """Values, covariant derivatives and tau of the variations, stacked as
-    (m, N, n), (m, N, n) and (m,)."""
-    vs = np.stack([np.asarray(v.vectors, dtype=float) for v in variations])
-    dvs = np.stack([v.d() for v in variations])
-    taus = np.array([v.tau for v in variations])
-    vcov = dvs + np.einsum("nkb,dnb->dnk", lg.gamma_xdot, vs)
-    return vs, vcov, taus
+class _Stack(NamedTuple):
+    vs: np.ndarray     # values
+    vcov: np.ndarray   # covariant s-derivatives dV/ds + Gamma(xdot, V)
+    taus: np.ndarray
+
+
+def _stack(lg, vs, dvs, taus):
+    """The stack of the variations with values vs and s-derivatives dvs,
+    each (N, n, m), and period coefficients taus."""
+    return _Stack(vs, dvs + lg.gamma_xdot @ vs, taus)
+
+
+def _as_stack(lg, variations):
+    """A list of ``Variation`` as a stack; a stack is returned as it is."""
+    if isinstance(variations, _Stack):
+        return variations
+    return _stack(lg, np.stack([v.vectors for v in variations], axis=-1),
+                  np.stack([v.d() for v in variations], axis=-1),
+                  np.array([v.tau for v in variations], dtype=float))
 
 
 def _pair(a, b):
-    """Matrix of the nodal pairings sum_n <a_c(n), b_d(n)>: one matmul over
-    the flattened (N n) axis."""
-    return a.reshape(len(a), -1) @ b.reshape(len(b), -1).T
+    """Matrix of the nodal pairings sum_n <a_c(n), b_d(n)> of two stacks:
+    one matmul over the flattened (N n) axis."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def _hessian_blocks(sys, loop, k, variations):
     """Symmetric matrix of the second-variation quadratic form over the
-    given variations (standard three-integral expression).
+    given variations (a list of ``Variation`` or a stack; standard
+    three-integral expression).
 
-    Each term contracts per node with n x n matrices and then pairs the
-    variations with one matmul over the flattened (N n) axis.
+    Each term applies n x n matrices per node to the whole stack and then
+    pairs the variations with one matmul over the flattened (N n) axis.
     """
     lg = _loop_geometry(sys, loop)
     T = loop.period
-    vs, vcov, taus = _stack_variations(lg, variations)
-    g_vcov = np.einsum("nkl,dnl->dnk", lg.g, vcov)
-    om_v = np.einsum("nkj,dnj->dnk", lg.omega, vs)
-    p = np.einsum("dnk,nk->dn", vcov, np.einsum("nkl,nl->nk", lg.g, lg.xdot))
+    vs, vcov, taus = _as_stack(lg, variations)
+    g_vcov = lg.g @ vcov
+    p = (lg.xdot[:, None, :] @ g_vcov)[:, 0, :]   # p[n, d] = <V_d', xdot>_g
 
     # kinetic + magnetic first-order term (symmetrized below)
-    b1 = _pair(vcov, g_vcov) / T - _pair(om_v, g_vcov)
+    b1 = _pair(vcov, g_vcov) / T - _pair(lg.omega @ vs, g_vcov)
 
     # curvature term, folded into one symmetric matrix per node
     m1, m2 = lg.curvature_blocks
     ms = 0.5 * (m1 + np.swapaxes(m1, 1, 2)) / T - 0.5 * (m2 + np.swapaxes(m2, 1, 2))
-    b2 = -_pair(vs, np.einsum("nab,dnb->dna", ms, vs))
+    b2 = -_pair(vs, ms @ vs)
 
-    b3 = -(p / lg.speed ** 2) @ p.T / T
+    b3 = -(p / lg.speed[:, None] ** 2).T @ p / T
 
-    q = p / lg.speed - taus[:, None] * lg.speed / T
-    b4 = q @ q.T / T
+    q = p / lg.speed[:, None] - taus * lg.speed[:, None] / T
+    b4 = q.T @ q / T
 
     b = (b1 + b2 + b3 + b4) / loop.n_nodes
     return 0.5 * (b + b.T)
@@ -516,35 +538,43 @@ def loop_frame(sys, loop):
     return frames, spectral_derivative(frames)
 
 
-def variation_basis(sys, loop, mode_count):
-    """Fourier modes times frame fields, plus the pure period direction."""
+def _basis_arrays(sys, loop, mode_count):
+    """Values and s-derivatives, each (N, n, m), and period coefficients of
+    the index basis: each leg of ``loop_frame`` times the Fourier modes
+    cos 0, cos 1, sin 1, ..., sin mode_count, leg after leg, then the pure
+    period direction."""
     frames, dframes = loop_frame(sys, loop)
-    s = loop.s
-    variations = []
-    for d in range(loop.dim):
-        col = frames[:, :, d]
-        dcol = dframes[:, :, d]
-        for j in range(mode_count + 1):
-            c = np.cos(2.0 * np.pi * j * s)
-            dc = -2.0 * np.pi * j * np.sin(2.0 * np.pi * j * s)
-            variations.append(Variation(vectors=c[:, None] * col,
-                                        dvectors=dc[:, None] * col + c[:, None] * dcol))
-            if j > 0:
-                sn = np.sin(2.0 * np.pi * j * s)
-                dsn = 2.0 * np.pi * j * np.cos(2.0 * np.pi * j * s)
-                variations.append(Variation(vectors=sn[:, None] * col,
-                                            dvectors=dsn[:, None] * col + sn[:, None] * dcol))
-    zero = np.zeros_like(loop.nodes)
-    variations.append(Variation(vectors=zero, tau=1.0))
-    return variations
+    j = np.arange(mode_count + 1)[:, None]
+    arg = 2.0 * np.pi * j * loop.s
+    cos, sin = np.cos(arg), np.sin(arg)
+
+    def modes(c, sn):   # the rows c_0, c_1, sn_1, c_2, sn_2, ... as (N, 1, 1, 2J + 1)
+        rows = np.delete(np.stack([c, sn], axis=1).reshape(-1, loop.n_nodes), 1, axis=0)
+        return rows.T[:, None, None, :]
+
+    f, df = modes(cos, sin), modes(-2.0 * np.pi * j * sin, 2.0 * np.pi * j * cos)
+    shape = (loop.n_nodes, loop.dim, loop.dim * (2 * mode_count + 1) + 1)
+    vs, dvs, taus = np.zeros(shape), np.zeros(shape), np.zeros(shape[-1])
+    vs[..., :-1] = (frames[..., None] * f).reshape(shape[:2] + (-1,))
+    dvs[..., :-1] = (frames[..., None] * df + dframes[..., None] * f).reshape(shape[:2] + (-1,))
+    taus[-1] = 1.0
+    return vs, dvs, taus
+
+
+def variation_basis(sys, loop, mode_count):
+    """Fourier modes times frame fields, plus the pure period direction, as
+    ``Variation`` views of the stack ``morse_index`` assembles."""
+    vs, dvs, taus = _basis_arrays(sys, loop, mode_count)
+    return [Variation(vs[..., i], tau=taus[i], dvectors=dvs[..., i])
+            for i in range(len(taus))]
 
 
 def gram_matrix(sys, loop, variations):
-    """H1-type Gram matrix: int (<V_c, V_d> + <V_c', V_d'>) ds + tau_c tau_d."""
+    """H1-type Gram matrix: int (<V_c, V_d> + <V_c', V_d'>) ds + tau_c tau_d,
+    over a list of ``Variation`` or a stack."""
     lg = _loop_geometry(sys, loop)
-    vs, vcov, taus = _stack_variations(lg, variations)
-    g = (_pair(vs, np.einsum("nkl,dnl->dnk", lg.g, vs))
-         + _pair(vcov, np.einsum("nkl,dnl->dnk", lg.g, vcov))) / loop.n_nodes
+    vs, vcov, taus = _as_stack(lg, variations)
+    g = (_pair(vs, lg.g @ vs) + _pair(vcov, lg.g @ vcov)) / loop.n_nodes
     g += np.outer(taus, taus)
     return 0.5 * (g + g.T)
 
@@ -560,17 +590,17 @@ def morse_index(sys, loop, k, mode_count=32):
     separately and never counted as negative.
     """
     _require_critical(sys, loop, k)
-    _loop_geometry(sys, loop).require_immersed()
-    basis = variation_basis(sys, loop, mode_count)
+    lg = _loop_geometry(sys, loop).require_immersed()
+    basis = _stack(lg, *_basis_arrays(sys, loop, mode_count))
     b = _hessian_blocks(sys, loop, k, basis)
     g = gram_matrix(sys, loop, basis)
     eigvals = scipy.linalg.eigh(b, g, eigvals_only=True)
     eps = INDEX_EPSILON_SCALE * float(np.max(np.abs(eigvals)))
     negative = int(np.sum(eigvals < -eps))
     near = int(np.sum(np.abs(eigvals) <= eps))
-    return IndexReport(mode_count=mode_count, dim_variation=len(basis),
+    return IndexReport(mode_count=mode_count, dim_variation=len(eigvals),
                        eigenvalues=np.sort(eigvals), negative=negative,
-                       near_zero=near, positive=len(basis) - negative - near,
+                       near_zero=near, positive=len(eigvals) - negative - near,
                        epsilon=eps)
 
 

@@ -16,12 +16,14 @@ Fourier collocation (``_solve_closing``) starts from a loop.  It resamples
 the loop to ``COLLOCATION_NODES`` nodes and solves its discretized closing
 conditions (eta = 0) with the same damped least-squares Newton step
 (``_damped_newton``) on their exact Jacobian: the Fourier differentiation
-matrix (Trefethen, Spectral Methods in MATLAB) plus pointwise blocks in
-Gamma, dGamma, Omega and dOmega at the nodes.  It integrates nothing.  The
-descent search (``gradient_search``) runs it once from a seed loop, and
-continuation (``continue_in_k``) once from the previous orbit's loop.  Both
-correctors end in ``_build_record``, which integrates the orbit once from
-its start state and certifies it.
+matrix (Trefethen, Spectral Methods in MATLAB) plus pointwise blocks from
+the acceleration's derivatives at the nodes.  It stops at roundoff, when
+the residual falls below a floor scaled by the seed's s-acceleration, and
+integrates nothing; the eta gate on the solved loop decides whether it is
+solved.  The descent search (``gradient_search``) runs it once from a seed
+loop, and continuation (``continue_in_k``) once from the previous orbit's
+loop.  Both correctors end in ``_build_record``, which integrates the orbit
+once from its start state and certifies it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ COLLOCATION_NODES = 32
 # from an orbit, a continuation predictor starts next to one
 DESCENT_MAX_ITER = 400
 PREDICTOR_MAX_ITER = 30
+# a collocation solve stops at roundoff: once its residual norm falls below
+# ROUNDOFF_SCALE eps (N n + 1) max(1, max |xddot|), with xddot the second
+# s-derivative of the resampled seed nodes (the size of the residual's
+# terms), where a further step would only move noise (Deuflhard, Newton
+# Methods for Nonlinear Problems, 2004: stop at the attainable accuracy)
+ROUNDOFF_SCALE = 1e3
 
 
 @dataclass
@@ -437,10 +445,12 @@ def gradient_search(sys, k, initial_loop, schedule=None):
     resampled to ``COLLOCATION_NODES`` nodes and its closing conditions
     (nodal force balance in loop units plus the energy constraint, with the
     period log-parametrized) are solved by a damped least-squares Newton
-    iteration on their exact Jacobian, the same step as ``shoot``'s,
-    iterated to roundoff; being a root finder it reaches zeros of any Morse
-    index.  The solved loop's orbit is integrated and certified, or
-    corrected by ``shoot`` when it misses the closure or eta gate.
+    iteration on their exact Jacobian, the same step as ``shoot``'s, which
+    stops once the residual is at its roundoff floor (``ROUNDOFF_SCALE``),
+    or where no step lowers it; being a root finder it reaches zeros of any
+    Morse index.  The eta gate on the solved loop, not the Newton stop,
+    decides success.  The solved loop's orbit is integrated and certified,
+    or corrected by ``shoot`` when it misses the closure or eta gate.
     Degenerations are classified honestly (period collapse or loop
     shrinking toward a constant, a stalled vanishing sequence) and carry a
     period trace.  Returns an ``OrbitRecord`` or a ``SearchFailure``.
@@ -457,7 +467,7 @@ def gradient_search(sys, k, initial_loop, schedule=None):
     if np.any(initial_loop.winding):
         raise ValueError("descent search supports contractible seed loops only")
 
-    solved, eta, nodes, T, (res_norm, iterations, path) = _solve_closing(
+    solved, eta, nodes, T, (res_norm, iterations, path, _) = _solve_closing(
         sys, k, initial_loop.nodes, initial_loop.period, DESCENT_MAX_ITER)
     period_trace = np.exp(path).tolist()
     seed = initial_loop.nodes
@@ -544,21 +554,27 @@ def _resample(nodes, n_nodes):
 def _solve_closing(sys, k, nodes, T, max_iter):
     """One Fourier collocation solve from the periodic loop (nodes, T): the
     nodes resampled to ``COLLOCATION_NODES`` and a damped Newton iteration
-    on their closing conditions with no residual target, which stops when
-    no step lowers the residual any more, at roundoff on a converging seed.
+    on their closing conditions, which stops at roundoff (the residual
+    below the ``ROUNDOFF_SCALE`` floor of the seed), or where no step lowers
+    the residual any more.  The stop does not certify the loop; the eta
+    gate on the solved loop does.
 
-    Returns (loop, eta, nodes, T, (|r|, iterations, path)): the solved
-    ``DiscreteLoop`` (None where the solution is no valid loop or misses
-    the eta gate) and its eta norm (inf for no valid loop), the solved
-    nodes and period, and the Newton report.  A loop the nodes do not
-    resolve fails later, at the closure or eta gate of its integrated
-    record.
+    Returns (loop, eta, nodes, T, (|r|, iterations, path, stop)): the
+    solved ``DiscreteLoop`` (None where the solution is no valid loop or
+    misses the eta gate) and its eta norm (inf for no valid loop), the
+    solved nodes and period, and the Newton report, whose stop reason is
+    "roundoff", "stalled", "max_iterations" or "singular".  A loop the
+    nodes do not resolve fails later, at the closure or eta gate of its
+    integrated record.
     """
     fvec = _closing_system(sys, k)
     nodes = _resample(nodes, COLLOCATION_NODES)
     u0 = np.concatenate([nodes.ravel(), [np.log(T)]])
-    u, res_norm, iterations, path, _ = _damped_newton(
-        fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), 0.0, max_iter)
+    xddot = loop_mod.spectral_derivative(loop_mod.spectral_derivative(nodes))
+    floor = (ROUNDOFF_SCALE * np.finfo(float).eps * u0.size
+             * max(1.0, float(np.max(np.abs(xddot)))))
+    u, res_norm, iterations, path, stop = _damped_newton(
+        fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), floor, max_iter)
     nodes, T = u[:-1].reshape(nodes.shape), float(np.exp(u[-1]))
     try:
         solved = loop_mod.DiscreteLoop(nodes, T)
@@ -567,7 +583,7 @@ def _solve_closing(sys, k, nodes, T, max_iter):
         solved, eta = None, float("inf")
     if solved is not None and eta >= loop_mod.eta_gate(solved):
         solved = None
-    return solved, eta, nodes, T, (res_norm, iterations, path)
+    return solved, eta, nodes, T, (res_norm, iterations, path, stop or "roundoff")
 
 
 def _loop_start(sys, k, nodes, T):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import smooth_variation, unit_normal_field
 from maggeo import geom, loop as loop_mod, magcurv, solve, systems
@@ -308,6 +309,28 @@ def _einsum_hessian_blocks(sys, loop, variations):
     return 0.5 * (b + b.T)
 
 
+def _per_mode_basis(sys, loop, mode_count):
+    """The index basis built one Variation at a time, as it was before it
+    was stacked."""
+    frames, dframes = loop_mod.loop_frame(sys, loop)
+    s = loop.s
+    variations = []
+    for d in range(loop.dim):
+        col, dcol = frames[:, :, d], dframes[:, :, d]
+        for j in range(mode_count + 1):
+            c = np.cos(2.0 * np.pi * j * s)
+            dc = -2.0 * np.pi * j * np.sin(2.0 * np.pi * j * s)
+            variations.append(loop_mod.Variation(c[:, None] * col,
+                                                 dvectors=dc[:, None] * col + c[:, None] * dcol))
+            if j > 0:
+                sn = np.sin(2.0 * np.pi * j * s)
+                dsn = 2.0 * np.pi * j * np.cos(2.0 * np.pi * j * s)
+                variations.append(loop_mod.Variation(
+                    sn[:, None] * col, dvectors=dsn[:, None] * col + sn[:, None] * dcol))
+    variations.append(loop_mod.Variation(np.zeros_like(loop.nodes), tau=1.0))
+    return variations
+
+
 def _einsum_gram_matrix(sys, loop, variations):
     lg = loop_mod._loop_geometry(sys, loop)
     vs = np.stack([v.vectors for v in variations])
@@ -320,12 +343,12 @@ def _einsum_gram_matrix(sys, loop, variations):
     return 0.5 * (g + g.T)
 
 
-def _trig_loop():
-    sys = systems.random_trig_system(dim=3)
+def _trig_loop(dim=3, seed=0):
+    sys = systems.random_trig_system(dim=dim, seed=seed)
     s = np.arange(64) / 64
-    nodes = np.stack([1.0 + 0.4 * np.cos(TWO_PI * s), 2.0 + 0.3 * np.sin(TWO_PI * s),
-                      0.5 + 0.2 * np.sin(2 * TWO_PI * s)], axis=1)
-    return sys, loop_mod.DiscreteLoop(nodes, 3.0)
+    cols = [1.0 + 0.4 * np.cos(TWO_PI * s), 2.0 + 0.3 * np.sin(TWO_PI * s),
+            0.5 + 0.2 * np.sin(2 * TWO_PI * s), -0.3 + 0.1 * np.cos(3 * TWO_PI * s)]
+    return sys, loop_mod.DiscreteLoop(np.stack(cols[:dim], axis=1), 3.0)
 
 
 class TestIndexAssembly:
@@ -345,6 +368,35 @@ class TestIndexAssembly:
                          (loop_mod.gram_matrix(sys, loop, basis),
                           _einsum_gram_matrix(sys, loop, basis))):
             assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+    def test_basis_matches_per_mode_construction(self):
+        sys, loop = _trig_loop()
+        basis = loop_mod.variation_basis(sys, loop, 5)
+        reference = _per_mode_basis(sys, loop, 5)
+        assert len(basis) == len(reference)
+        for got, want in zip(basis, reference):
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.d(), want.d())
+            assert got.tau == want.tau
+
+
+@given(st.integers(2, 4), st.integers(0, 2 ** 16), st.integers(2, 8))
+@settings(max_examples=10, deadline=None)
+def test_stacked_basis_matches_einsum_forms(dim, seed, mode_count):
+    # the basis morse_index assembles from, against the einsum forms over
+    # the Variation list variation_basis returns; the list, stacked, gives
+    # the very same matrices
+    sys, loop = _trig_loop(dim, seed)
+    stack = loop_mod._stack(loop_mod._loop_geometry(sys, loop),
+                            *loop_mod._basis_arrays(sys, loop, mode_count))
+    basis = loop_mod.variation_basis(sys, loop, mode_count)
+    assert len(basis) == dim * (2 * mode_count + 1) + 1
+    for form, oracle in ((lambda b: loop_mod._hessian_blocks(sys, loop, K, b),
+                          _einsum_hessian_blocks),
+                         (lambda b: loop_mod.gram_matrix(sys, loop, b), _einsum_gram_matrix)):
+        new, old = form(stack), oracle(sys, loop, basis)
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+        assert np.array_equal(form(basis), new)
 
 
 class TestManeBound:

@@ -218,6 +218,17 @@ def test_singular_metric_in_the_step_is_named():
             for kernel in kernels:
                 with pytest.raises(DegenerateMetricError, match=named):
                     kernel(pg, v[i])
+        if far < 0.0:
+            # v g v = 0 for v = (1, 1): transport names the indefinite g, at a
+            # point and in a stack, instead of reading v as a zero velocity
+            ones = np.ones_like(v)
+            for pg, vv in ((geom.PointGeometry(sys, xs[2]), ones[2]),
+                           (geom.PointGeometry(sys, xs), ones)):
+                with pytest.raises(DegenerateMetricError, match=named):
+                    geom.transport_rate(pg, vv, vv)
+            # a zero velocity under a positive-definite g is still one
+            with pytest.raises(ValueError, match="zero velocity"):
+                geom.transport_rate(geom.PointGeometry(sys, xs[0]), np.zeros(2), ones[0])
         # the flow runs along the x1 axis into the half-plane x1 >= 1
         for integrate in (flow.integrate, flow.integrate_variational):
             with pytest.raises(DegenerateMetricError, match="degenerate metric at x=") as info:

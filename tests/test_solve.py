@@ -193,7 +193,8 @@ class TestGradientSearch:
                                     schedule={"n_nodes": 128, "mode_count": 16})
         assert isinstance(out, solve.OrbitRecord) and out.certified
         assert out.period == pytest.approx(TWO_PI, abs=1e-6)
-        assert 0 < len(calls) <= 40
+        # the Newton solve stops at roundoff, not after steps that only move noise
+        assert 0 < len(calls) <= 10
 
     def test_no_field_circle_fails_classified(self):
         sys = systems.flat_torus(b=0.0)
@@ -221,6 +222,29 @@ def _wobbly_loop(center, radius, dim, n_nodes=16, period=2.3):
     cols = [center[0] + radius * np.cos(TWO_PI * s), center[1] + 0.8 * radius * np.sin(TWO_PI * s)]
     cols += [center[i] + 0.2 * np.sin(2.0 * TWO_PI * s + i) for i in range(2, dim)]
     return np.concatenate([np.stack(cols, axis=1).ravel(), [np.log(period)]])
+
+
+class TestNewtonStop:
+    """The collocation Newton solve stops at its roundoff floor, and the
+    eta gate, not the stop, decides whether the loop is solved."""
+
+    def test_exact_circle_stops_at_roundoff(self, torus):
+        seed = solve.circle_loop((1.0, 1.0), 1.0, n_nodes=32, period=TWO_PI, orientation=-1)
+        solved, eta, _, T, (res_norm, iterations, _, stop) = solve._solve_closing(
+            torus, 0.5, seed.nodes, seed.period, solve.DESCENT_MAX_ITER)
+        assert stop == "roundoff" and iterations <= 1
+        assert solved is not None and eta < loop_mod.eta_gate(solved)
+        assert T == pytest.approx(TWO_PI, abs=1e-12)
+
+    def test_seed_without_orbit_does_not_stop_at_roundoff(self):
+        # no contractible orbit without a field: the residual keeps the
+        # energy term k N, far above any roundoff floor
+        sys = systems.flat_torus(b=0.0)
+        seed = solve.circle_loop((1.0, 1.0), 0.5, n_nodes=24, period=2.0)
+        solved, eta, _, _, (res_norm, _, _, stop) = solve._solve_closing(
+            sys, 0.5, seed.nodes, seed.period, solve.DESCENT_MAX_ITER)
+        assert stop in ("stalled", "max_iterations")
+        assert solved is None and res_norm > 1.0
 
 
 class TestClosingJacobian:
@@ -288,7 +312,7 @@ def _counting_integrators(monkeypatch):
 
 def _failed_solve(sys, k, nodes, T, max_iter):
     """A collocation solve whose loop misses the eta gate."""
-    return None, float("inf"), nodes, T, (float("inf"), max_iter, [float(np.log(T))])
+    return None, float("inf"), nodes, T, (float("inf"), max_iter, [float(np.log(T))], "stalled")
 
 
 class TestCollocationCorrector:
@@ -357,6 +381,24 @@ class TestCollocationCorrector:
         assert all(rec.certified and rec.index == 1 for rec in out)
         for rec, ref in zip(out, fam[3:]):
             assert abs(rec.period - ref.period) < 1e-10
+
+
+class TestRecord:
+    def test_record_evaluates_eta_once(self, torus, monkeypatch):
+        # the eta gate of the record and the index's criticality check share
+        # one evaluation on the record's loop
+        loops = []
+        force_residual = loop_mod._force_residual
+
+        def counted(sys, loop, k):
+            loops.append(loop)
+            return force_residual(sys, loop, k)
+
+        monkeypatch.setattr(loop_mod, "_force_residual", counted)
+        rec = solve._build_record(torus, 0.5, np.zeros(2), np.array([1.0, 0.0]), TWO_PI,
+                                  1e-12, 128, 16, True)
+        assert rec.certified and rec.index == 1
+        assert len(loops) == 1 and loops[0] is rec.loop
 
 
 class TestCertify:
