@@ -72,8 +72,8 @@ def _default_t_guess(sys, k, x, task):
 
 
 def _search_options(task):
-    """Tolerance and index resolution of the orbit search, for ``shoot`` and
-    ``continue_in_k``."""
+    """Tolerance and index resolution of the orbit search, for ``find_orbit``
+    and ``continue_in_k``."""
     return {"tol": task.get("tolerance", 1e-12), "n_nodes": task.get("nodes", 512),
             "mode_count": task.get("modes", 32)}
 
@@ -83,8 +83,8 @@ def _find_orbit(sys_, task, k):
     winding_target = None
     if task.get("contractible", True) and sys_.lattice is not None:
         winding_target = tuple(0 for _ in range(sys_.dim))
-    return solve.shoot(sys_, k, state, _default_t_guess(sys_, k, state.x, task),
-                       winding_target=winding_target, **_search_options(task))
+    return solve.find_orbit(sys_, k, state, _default_t_guess(sys_, k, state.x, task),
+                            winding_target=winding_target, **_search_options(task))
 
 
 def cmd_integrate(config):

@@ -1,29 +1,35 @@
 """Closed-orbit search at fixed energy, continuation in energy, and
 certification of the curvature-based period and index bounds.
 
-Two correctors find closed orbits.  Shooting (``shoot``) starts from a
-point seed.  Its system removes the time-translation degeneracy with a
-phase condition <x0 - x_ref, v_ref>_g = 0 and drops the velocity
-component along the orbit (energy conservation makes it redundant), so
-the Newton system is square; steps are solved by least squares, which
-also copes with the orbit-cylinder rank deficiency of families.  The
-Newton Jacobian is exact: each residual evaluation integrates the flow
-together with its monodromy matrix (the variational equations; Hairer,
-Norsett & Wanner, Solving ODEs I), so one Newton step costs one
-integration when its full step is accepted.
+Two correctors find closed orbits.  Fourier collocation (``_solve_closing``)
+starts from a loop.  It resamples the loop to ``COLLOCATION_NODES`` nodes
+and solves its discretized closing conditions (eta = 0) with a damped
+least-squares Newton step (``_damped_newton``) on their exact Jacobian: the
+Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB) plus
+pointwise blocks from the acceleration's derivatives at the nodes.  It
+stops at roundoff, when the residual falls below a floor scaled by the
+seed's s-acceleration, and integrates nothing; the eta gate on the solved
+loop decides whether it is solved.
 
-Fourier collocation (``_solve_closing``) starts from a loop.  It resamples
-the loop to ``COLLOCATION_NODES`` nodes and solves its discretized closing
-conditions (eta = 0) with the same damped least-squares Newton step
-(``_damped_newton``) on their exact Jacobian: the Fourier differentiation
-matrix (Trefethen, Spectral Methods in MATLAB) plus pointwise blocks from
-the acceleration's derivatives at the nodes.  It stops at roundoff, when
-the residual falls below a floor scaled by the seed's s-acceleration, and
-integrates nothing; the eta gate on the solved loop decides whether it is
-solved.  The descent search (``gradient_search``) runs it once from a seed
-loop, and continuation (``continue_in_k``) once from the previous orbit's
-loop.  Both correctors end in ``_build_record``, which integrates the orbit
-once from its start state and certifies it.
+Shooting (``shoot``) starts from a point seed.  Its system removes the
+time-translation degeneracy with a phase condition <x0 - x_ref, v_ref>_g = 0
+and measures the end velocity's part normal to v0; steps are solved by
+least squares, which also copes with the orbit-cylinder rank deficiency of
+families.  The Newton Jacobian is exact: each residual evaluation
+integrates the flow together with its monodromy matrix (the variational
+equations; Hairer, Norsett & Wanner, Solving ODEs I), so one Newton step
+costs one integration when its full step is accepted.
+
+A point seed collocates first (``find_orbit``): the seed's orbit,
+integrated once over the period guess with its closure gap spread over
+the lift, is the loop of one collocation solve, the standard predictor for
+periodic orbits (Doedel, Keller & Kernevez, Numerical analysis and control
+of bifurcation problems II, 1991).  The descent search (``gradient_search``)
+runs the solve once from a seed loop, and continuation (``continue_in_k``)
+once from the previous orbit's loop.  ``shoot`` corrects winding targets
+and whatever collocation leaves unsolved.  Every corrector ends in
+``_build_record``, which integrates the orbit once from its start state,
+gates its closure and eta before the index, and certifies it.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import geom, loop as loop_mod, magcurv
-from .errors import NotCriticalError, SingularJacobianError
+from .errors import ChartExitError, DegenerateMetricError, StiffTrajectoryError
 from .flow import PhaseState, integrate, integrate_variational
 from .io import dump_csv, dump_json
 
@@ -57,6 +63,10 @@ PREDICTOR_MAX_ITER = 30
 # terms), where a further step would only move noise (Deuflhard, Newton
 # Methods for Nonlinear Problems, 2004: stop at the attainable accuracy)
 ROUNDOFF_SCALE = 1e3
+# the loop predicted from a point seed: samples of its integrated orbit, at a
+# tolerance that only has to beat the collocation's own correction
+SEED_NODES = 64
+SEED_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -140,16 +150,32 @@ def _unit_velocity(g, v):
     return v / float(np.sqrt(max(float(v @ g @ v), 0.0)))
 
 
+def _seed(sys, k, seed_state):
+    """The seed state with its point in the fundamental cell; raises
+    ``ValueError`` when its velocity is not on the energy level."""
+    seed_state = seed_state if isinstance(seed_state, PhaseState) else PhaseState(*seed_state)
+    # anchor in the fundamental cell: keeps finite-difference steps scaled
+    # sanely and stops drift along lattice translation symmetries
+    x = sys.wrap(seed_state.x)
+    speed = sys.norm(x, seed_state.v)
+    if abs(speed - np.sqrt(2.0 * k)) > 1e-9 * max(1.0, np.sqrt(2.0 * k)):
+        raise ValueError("seed velocity is not on the energy level |v| = sqrt(2k)")
+    return PhaseState(x, seed_state.v.copy())
+
+
 def _start(sys, k, v_ref, n, u):
     """Start state (x0, v0) of the shooting unknowns u = (x0, d, T), with
-    the metric at x0 and the g-orthonormal frame normal to the seed direction."""
+    the metric g at x0 and the linear map of a velocity to the coordinates
+    of its part g-normal to v0 in the g-orthonormal frame at x0 whose first
+    leg is along the seed direction (d moves v0 along the other legs)."""
     x0 = u[:n]
     pg = geom.PointGeometry(sys, x0)
     g = pg.g
     vdir = _unit_velocity(g, v_ref)
-    frame_perp = geom.orthonormal_completion(sys, pg, vdir)[:, 1:]
-    v0 = np.sqrt(2.0 * k) * _unit_velocity(g, vdir + frame_perp @ u[n:2 * n - 1])
-    return x0, v0, g, frame_perp
+    frame = geom.orthonormal_completion(sys, pg, vdir)
+    v0 = np.sqrt(2.0 * k) * _unit_velocity(g, vdir + frame[:, 1:] @ u[n:2 * n - 1])
+    normal = frame.T @ g @ (np.eye(n) - np.outer(v0, g @ v0) / (2.0 * k))
+    return x0, v0, g, normal
 
 
 def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
@@ -157,6 +183,14 @@ def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
     its Jacobian, from one integration of the flow with its monodromy
     matrix Phi.
 
+    F stacks the position gap, the end velocity's part g-normal to v0 (in
+    the orthonormal frame at x0) and the phase condition: 2n + 1 rows for
+    2n unknowns.  The velocity part along v0 is left out: energy
+    conservation fixes it once the position gap closes, and away from
+    closure it only compares coordinate velocities at distant points.  The
+    normal part vanishes only where the end velocity is parallel to v0;
+    the reversed one, -v0, is a root too, which the closure gate of the
+    record rejects.
     With S(u) = (x0, v0) the start state, y_e = phi_T(S(u)) the end state
     and f the vector field, dF/du = F_u + F_y (Phi S_u + f(y_e) e_T^T).
     Neither S nor the closing map F(u, y_e) integrates anything, so S_u and
@@ -173,14 +207,13 @@ def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
 
     def start_and_close(uu, ye):
         """(S(uu), F(uu, ye)) stacked into one vector."""
-        x0, v0, g, frame_perp = _start(sys, k, v_ref, n, uu)
+        x0, v0, g, normal = _start(sys, k, v_ref, n, uu)
         dx = ye[:n] - x0
         dx = sys.wrap_diff(dx) if winding_target is None else dx - shift
-        dv_perp = frame_perp.T @ (g @ (ye[n:] - v0))
         phase = float((x0 - x_ref) @ g @ v_ref)
-        return np.concatenate([x0, v0, dx, dv_perp, [phase]])
+        return np.concatenate([x0, v0, dx, normal @ ye[n:], [phase]])
 
-    x0, v0, g, frame_perp = _start(sys, k, v_ref, n, u)
+    x0, v0, _, normal = _start(sys, k, v_ref, n, u)
     mono = integrate_variational(sys, PhaseState(x0, v0), T, tolerance=tol)
     ye = mono.y
     r = start_and_close(u, ye)[2 * n:]
@@ -188,9 +221,9 @@ def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
                             1e-6 * np.maximum(1.0, np.abs(u)))
     dye = mono.phi @ d_u[:2 * n]
     dye[:, -1] += mono.rhs
-    f_y = np.zeros((2 * n, 2 * n))
+    f_y = np.zeros((2 * n + 1, 2 * n))
     f_y[:n, :n] = np.eye(n)
-    f_y[n:2 * n - 1, n:] = frame_perp.T @ g
+    f_y[n:2 * n, n:] = normal
     return r, d_u[2 * n:] + f_y @ dye
 
 
@@ -245,17 +278,15 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
     once and returns the exact Newton Jacobian with the residual, so a
     Newton step whose full step is accepted costs one integration.  Steps
     are least-squares solves, with backtracking on the residual norm.
-    Returns a certified ``OrbitRecord`` or a ``SearchFailure`` report.
+    Returns a certified ``OrbitRecord`` or a ``SearchFailure`` report whose
+    reason is the Newton stop ("stalled", "max_iterations", "singular") or
+    the gate the found orbit misses (see ``_build_record``).  Point seeds of
+    the CLI reach it only through ``find_orbit``, where collocation comes
+    first.
     """
     n = sys.dim
-    seed_state = seed_state if isinstance(seed_state, PhaseState) else PhaseState(*seed_state)
-    # anchor in the fundamental cell: keeps finite-difference steps scaled
-    # sanely and stops drift along lattice translation symmetries
-    x_ref = sys.wrap(seed_state.x)
-    speed = sys.norm(x_ref, seed_state.v)
-    if abs(speed - np.sqrt(2.0 * k)) > 1e-9 * max(1.0, np.sqrt(2.0 * k)):
-        raise ValueError("seed velocity is not on the energy level |v| = sqrt(2k)")
-    v_ref = seed_state.v.copy()
+    seed = _seed(sys, k, seed_state)
+    x_ref, v_ref = seed.x, seed.v
     u = np.concatenate([x_ref, np.zeros(n - 1), [float(T_guess)]])
     shoot_tol = max(tol, 1e-12)
     jac = None
@@ -271,31 +302,69 @@ def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1
         raise ValueError("T_guess must be positive")
     u, res_norm, iterations, history, stop = _damped_newton(
         residual, lambda _: jac, u, r, residual_target, max_iter, floor=T_FLOOR)
-    if stop == "singular":
-        raise SingularJacobianError("degenerate periodicity system; perturb seed")
-    if stop == "stalled":
-        return SearchFailure(reason="stalled", residual=res_norm,
-                             iterations=iterations, period_trace=history,
-                             detail="Newton stalled; orbit not found from this seed")
-    if stop == "max_iterations":
-        return SearchFailure(reason="max_iterations", residual=res_norm,
-                             iterations=iterations, period_trace=history)
+    if stop is not None:
+        detail = {"singular": "non-finite Newton step; perturb the seed",
+                  "stalled": "Newton stalled; orbit not found from this seed"}
+        return SearchFailure(reason=stop, residual=res_norm, iterations=iterations,
+                             period_trace=history, detail=detail.get(stop, ""))
 
     x0, v0, _, _ = _start(sys, k, v_ref, n, u)
     record = _build_record(sys, k, x0, v0, float(u[-1]), tol, n_nodes, mode_count,
                            compute_index)
-    if record is None:
-        return SearchFailure(reason="chart_swap", residual=res_norm,
-                             iterations=iterations, period_trace=history,
-                             detail="the closed orbit leaves both charts; "
-                                    "its loop cannot be resampled in one chart")
+    if isinstance(record, SearchFailure):
+        record.iterations, record.period_trace = iterations, history
     return record
+
+
+def find_orbit(sys, k, seed_state, T_guess, tol=1e-12, n_nodes=512, mode_count=32,
+               winding_target=None):
+    """Closed orbit with energy k from a point seed.
+
+    Where the target is contractible (``winding_target`` None or all
+    zeros), the seed is integrated once over ``T_guess``, its closure gap is
+    spread linearly over the lift, and one collocation solve corrects that
+    loop (``_collocation_record``); the record, with method "collocation",
+    is kept when it does not wind.  Otherwise, and where the seed's orbit
+    fails in the flow or swaps charts from both ends of the transition, or
+    the collocation misses a gate, ``shoot`` runs from the same seed.
+    Returns a certified ``OrbitRecord`` or a ``SearchFailure``.
+    """
+    if T_guess > 0 and (winding_target is None or not np.any(winding_target)):
+        nodes = _seed_nodes(sys, _seed(sys, k, seed_state), T_guess)
+        record = None if nodes is None else _collocation_record(
+            sys, k, nodes, T_guess, tol, n_nodes, mode_count)
+        if record is not None and not np.any(record.winding):
+            return record
+    return shoot(sys, k, seed_state, T_guess, tol=tol, n_nodes=n_nodes,
+                 mode_count=mode_count, winding_target=winding_target)
+
+
+def _seed_nodes(sys, state, T):
+    """Loop nodes predicted from the orbit of state over T: ``SEED_NODES``
+    samples of its lift, less the closure gap x(T) - x(0) in proportion
+    to time.  The orbit is integrated again from the transition image of
+    state where it swaps charts; None where it swaps charts from both, or
+    the flow fails."""
+    try:
+        orbit = integrate(sys, state, T, tolerance=SEED_TOLERANCE, samples=SEED_NODES + 1)
+        if orbit.meta["chart_swaps_total"]:
+            orbit = integrate(sys, PhaseState(*sys.transition(state.x, state.v)), T,
+                              tolerance=SEED_TOLERANCE, samples=SEED_NODES + 1)
+    except (ChartExitError, StiffTrajectoryError, DegenerateMetricError):
+        return None
+    if orbit.meta["chart_swaps_total"]:
+        return None
+    x = orbit.states[:, :sys.dim]
+    s = np.arange(SEED_NODES + 1)[:, None] / SEED_NODES
+    return (x - s * (x[-1] - x[0]))[:-1]
 
 
 def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count, compute_index):
     """The certified record of the closed orbit with start state (x0, v0) and
-    period T, or None when the orbit swaps charts from both ends of the
-    transition."""
+    period T, or a ``SearchFailure`` (zero iterations) when the orbit swaps
+    charts from both ends of the transition ("chart_swap") or misses the
+    closure or eta gate ("closure_gate", "eta_gate"; the index needs a
+    critical loop, so these gates come first)."""
     orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=min(tol, 1e-12),
                       samples=n_nodes + 1)
     if orbit.meta["chart_swaps_total"]:
@@ -303,10 +372,19 @@ def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count, compute_index):
         orbit = integrate(sys, PhaseState(*sys.transition(x0, v0)), T,
                           tolerance=min(tol, 1e-12), samples=n_nodes + 1)
         if orbit.meta["chart_swaps_total"]:
-            return None
+            return SearchFailure(reason="chart_swap", residual=orbit.closure_residual,
+                                 iterations=0,
+                                 detail="the closed orbit leaves both charts; "
+                                        "its loop cannot be resampled in one chart")
     lp = loop_mod.loop_from_orbit(orbit, n_nodes)
     eta_res = loop_mod.eta_norm(sys, lp, k)
     energy_res = orbit.energy_drift
+    for reason, value, gate in (("closure_gate", orbit.closure_residual, CLOSURE_GATE),
+                                ("eta_gate", eta_res, loop_mod.eta_gate(lp))):
+        if not value < gate:
+            return SearchFailure(reason=reason, residual=value, iterations=0,
+                                 detail=f"{reason}: residual {value:.3e} exceeds the "
+                                        f"gate {gate:.3e} by {value - gate:.3e}")
     index_report = None
     if compute_index:
         index_report = loop_mod.morse_index(sys, lp, k, mode_count=mode_count)
@@ -379,12 +457,13 @@ def continue_in_k(sys, record, k_grid, tol=1e-12, n_nodes=512, mode_count=32):
 
     The predictor is the previous orbit's loop with a secant period; the
     corrector is one Fourier collocation solve (``_collocation_record``),
-    which integrates nothing until the record is built.  A loop that winds,
-    or a collocation whose loop or integrated orbit misses a gate, is
-    corrected by ``shoot`` from the previous initial condition with the
-    velocity rescaled onto the new energy level, retried with the kinetic
-    period rescaling.  A fold (both shooting correctors fail) truncates the
-    family.
+    which integrates nothing until the record is built.  The record from
+    which the family starts comes from a point seed (``find_orbit``, which
+    collocates first too).  A loop that winds, or a collocation whose loop
+    or integrated orbit misses a gate, is corrected by ``shoot`` from the
+    previous initial condition with the velocity rescaled onto the new
+    energy level, retried with the kinetic period rescaling.  A fold (both
+    shooting correctors fail) truncates the family.
     """
     family = []
     prev = record
@@ -598,16 +677,8 @@ def _loop_record(sys, k, loop, tol, n_nodes, mode_count):
     solved loop; None when the orbit swaps charts from both ends or misses
     the closure or eta gate."""
     x0, v0 = _loop_start(sys, k, loop.nodes, loop.period)
-    try:
-        record = _build_record(sys, k, x0, v0, loop.period, tol, n_nodes, mode_count, True)
-    except NotCriticalError:
-        # the integrated orbit of a loop the nodes do not resolve misses the
-        # eta gate, which the index checks first
-        return None
-    if record is None or not (record.checks["closure_residual_ok"]
-                              and record.checks["eta_gate_ok"]):
-        return None
-    return record
+    record = _build_record(sys, k, x0, v0, loop.period, tol, n_nodes, mode_count, True)
+    return record if isinstance(record, OrbitRecord) else None
 
 
 def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):

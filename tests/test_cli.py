@@ -246,6 +246,27 @@ class TestCommands:
         assert record["checks"]["synge_ok"] is True
         assert not (tmp_path / "out" / "error.json").exists()
 
+    @pytest.mark.parametrize("k", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("system", ["flat_torus", "sine_field_torus", "round_sphere\nb = 0",
+                                        "round_sphere\nb = 1", "hyperbolic_chart"],
+                             ids=["flat_torus", "sine_field_torus", "round_sphere_b0",
+                                  "round_sphere_b1", "hyperbolic_chart"])
+    def test_find_orbit_ends_in_record_or_classified_failure(self, tmp_path, system, k):
+        # every builtin at CLI default seeds: a certified record, or a
+        # search failure that names why, never an unclassified error
+        out = tmp_path / "out"
+        config = parse_config(f"[system]\nbuiltin = {system}\n\n[task]\ncommand = find-orbit\n"
+                              f"k = {k}\nnodes = 128\nmodes = 16\n\n[output]\ndir = {out}\n")
+        status = cli.run(config)
+        assert not (out / "error.json").exists()
+        record = json.loads((out / "orbit_record.json").read_text())
+        if record["kind"] == "orbit_record":
+            assert status == 0 and record["certified"] is True
+        else:
+            assert status == 1 and record["kind"] == "search_failure"
+            assert record["reason"] in ("stalled", "max_iterations", "singular", "chart_swap",
+                                        "closure_gate", "eta_gate")
+
     def test_curvature_sphere_constant_one(self, tmp_path):
         path = write_config(tmp_path, SPHERE_CURVATURE)
         assert cli.main(["--config", path]) == 0
@@ -372,20 +393,20 @@ dir = {out_dir}
         # the tolerance reaches the continuation too; the config is not written
         seen = {}
 
-        def fake_shoot(sys, k, state, t_guess, **options):
-            seen["shoot"] = (k, options["tol"])
+        def fake_find_orbit(sys, k, state, t_guess, **options):
+            seen["find_orbit"] = (k, options["tol"])
             return object()
 
         def fake_continue(sys, record, k_grid, **options):
             seen["continue"] = (list(k_grid), options["tol"])
             raise ValueError("stop")
 
-        monkeypatch.setattr(solve, "shoot", fake_shoot)
+        monkeypatch.setattr(solve, "find_orbit", fake_find_orbit)
         monkeypatch.setattr(solve, "continue_in_k", fake_continue)
         config = parse_config(task_config("bonnet-myers", ("k_grid", "tolerance"),
                                           tmp_path / "out"))
         assert cli.run(config) == 1
-        assert seen == {"shoot": (0.5, 1e-10), "continue": ([1.0], 1e-10)}
+        assert seen == {"find_orbit": (0.5, 1e-10), "continue": ([1.0], 1e-10)}
         assert "k" not in config.task
 
     def test_report_command(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maggeo import flow, loop as loop_mod, solve, systems
+from maggeo.errors import StiffTrajectoryError
 
 TWO_PI = 2.0 * np.pi
 
@@ -38,6 +39,27 @@ class TestShoot:
     def test_seed_energy_checked(self, torus):
         with pytest.raises(ValueError):
             solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [2.0, 0.0]), 6.0)
+
+    def test_mirrored_seed_orbit_is_not_accepted(self):
+        # Newton turns v0 from the seed direction; an orbit that returns
+        # to x0 with v0 reflected across the seed's normal is no closed orbit
+        sys = systems.sine_field_torus()
+        out = solve.shoot(sys, 0.1, flow.PhaseState([0.0, 0.0], [np.sqrt(0.2), 0.0]), TWO_PI,
+                          winding_target=(0, 0), n_nodes=128, mode_count=16)
+        if isinstance(out, solve.OrbitRecord):
+            assert out.certified and out.closure_residual < solve.CLOSURE_GATE
+        else:
+            assert out.reason in ("stalled", "max_iterations", "closure_gate")
+
+    def test_singular_step_is_a_classified_failure(self, torus, monkeypatch):
+        def singular(residual, jacobian, u, r, residual_target, max_iter, floor):
+            return u, 0.5, 3, [6.0, 6.1, 6.2, 6.2], "singular"
+
+        monkeypatch.setattr(solve, "_damped_newton", singular)
+        out = solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0)
+        assert isinstance(out, solve.SearchFailure)
+        assert (out.reason, out.residual, out.iterations) == ("singular", 0.5, 3)
+        assert out.period_trace == [6.0, 6.1, 6.2, 6.2]
 
 
 def _residual_at(sys, k, x_ref, v_ref, u, winding_target):
@@ -80,6 +102,24 @@ class TestShootJacobian:
             x0, v0, _, _ = solve._start(sys, k, v_ref, sys.dim, u)
             mono = flow.integrate_variational(sys, flow.PhaseState(x0, v0), u[-1])
             assert mono.chart_swaps >= 1
+
+    def test_residual_sees_a_mirrored_end_velocity(self, monkeypatch):
+        # end states fed in place of the integration: back at x0 with v0,
+        # and back at x0 with v0 reflected across the seed direction's normal
+        sys, k, x_ref, v_ref, _, wt = _jacobian_cases()["sine_field_torus"]
+        u = np.concatenate([x_ref, [0.3, TWO_PI / 1.2]])
+        x0, v0, g, _ = solve._start(sys, k, v_ref, 2, u)
+        vdir = v_ref / sys.norm(x_ref, v_ref)
+        mirrored = v0 - 2.0 * float(vdir @ g @ v0) * vdir
+        assert sys.norm(x0, mirrored) == pytest.approx(np.sqrt(2.0 * k), rel=1e-12)
+        norms = []
+        for ve in (v0, mirrored):
+            end = flow.Monodromy(y=np.concatenate([x0, ve]), phi=np.eye(4), rhs=np.zeros(4),
+                                 nfev=0, chart_swaps=0)
+            monkeypatch.setattr(solve, "integrate_variational", lambda *a, end=end, **kw: end)
+            norms.append(float(np.linalg.norm(_residual_at(sys, k, x_ref, v_ref, u, wt)[0])))
+        assert norms[0] < 1e-12
+        assert norms[1] > 0.1 * np.sqrt(2.0 * k)
 
     def test_accepted_full_step_costs_one_integration(self, torus, monkeypatch):
         integrations = []
@@ -383,6 +423,68 @@ class TestCollocationCorrector:
             assert abs(rec.period - ref.period) < 1e-10
 
 
+class TestFindOrbit:
+    """Point seeds: one collocation solve from the integrated seed, with
+    ``shoot`` as the fallback."""
+
+    def test_sweep_seed_collocates_without_shooting(self, sine_sweep, monkeypatch):
+        sys, fam = sine_sweep
+        calls = _counting_integrators(monkeypatch)
+        seed = flow.PhaseState([np.pi / 2.0, 1.0], [np.sqrt(0.2), 0.0])
+        out = solve.find_orbit(sys, 0.1, seed, TWO_PI / 1.2, winding_target=(0, 0))
+        assert calls == ["plain", "plain"]   # the seed and the record
+        assert out.method == "collocation" and out.certified
+        shot = fam[0]
+        assert shot.method == "shoot"
+        assert abs(out.period - shot.period) < 1e-10
+        assert out.index == shot.index == 1
+        assert out.index_report.near_zero == shot.index_report.near_zero
+
+    def test_failed_collocation_returns_shoot_record(self, torus, torus_record, monkeypatch):
+        monkeypatch.setattr(solve, "_solve_closing", _failed_solve)
+        out = solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
+                               n_nodes=128, mode_count=16, winding_target=(0, 0))
+        assert out.method == "shoot" and out.certified
+        assert out.period == torus_record.period
+
+    def test_flow_error_in_the_seed_falls_back_to_shoot(self, torus, torus_record,
+                                                        monkeypatch):
+        plain = solve.integrate
+        seeds = []
+
+        def stiff_seed(sys, state, t_end, tolerance, samples):
+            if samples == solve.SEED_NODES + 1:
+                seeds.append(state)
+                raise StiffTrajectoryError("stiff seed")
+            return plain(sys, state, t_end, tolerance=tolerance, samples=samples)
+
+        monkeypatch.setattr(solve, "integrate", stiff_seed)
+        out = solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
+                               n_nodes=128, mode_count=16, winding_target=(0, 0))
+        assert len(seeds) == 1
+        assert out.method == "shoot" and out.period == torus_record.period
+
+    def test_winding_target_never_collocates(self, monkeypatch):
+        def no_collocation(*args):
+            raise AssertionError("collocation ran for a winding target")
+
+        monkeypatch.setattr(solve, "_solve_closing", no_collocation)
+        sys = systems.flat_torus(b=0.0)
+        out = solve.find_orbit(sys, 0.5, flow.PhaseState([0.0, 1.0], [1.0, 0.0]), TWO_PI,
+                               n_nodes=64, mode_count=4, winding_target=(1, 0))
+        assert out.method == "shoot" and tuple(out.winding) == (1, 0)
+
+    def test_seed_that_swaps_charts_is_predicted_from_its_transition_image(self):
+        sys = systems.round_sphere(b=1.0)
+        x, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        state = flow.PhaseState(x, v / sys.norm(x, v))
+        orbit = flow.integrate(sys, state, TWO_PI, samples=solve.SEED_NODES + 1)
+        assert orbit.meta["chart_swaps_total"] >= 1
+        nodes = solve._seed_nodes(sys, state, TWO_PI)
+        assert nodes.shape == (solve.SEED_NODES, 2)
+        assert np.allclose(nodes[0], sys.transition(state.x, state.v)[0])
+
+
 class TestRecord:
     def test_record_evaluates_eta_once(self, torus, monkeypatch):
         # the eta gate of the record and the index's criticality check share
@@ -399,6 +501,19 @@ class TestRecord:
                                   1e-12, 128, 16, True)
         assert rec.certified and rec.index == 1
         assert len(loops) == 1 and loops[0] is rec.loop
+
+    def test_gates_come_before_the_index(self, torus, monkeypatch):
+        # an orbit that does not close is a classified failure with its
+        # margin, and the index (which needs a critical loop) is not asked
+        def no_index(*args, **kwargs):
+            raise AssertionError("the index ran on an orbit that misses a gate")
+
+        monkeypatch.setattr(loop_mod, "morse_index", no_index)
+        out = solve._build_record(torus, 0.5, np.zeros(2), np.array([1.0, 0.0]), 5.0,
+                                  1e-12, 128, 16, True)
+        assert isinstance(out, solve.SearchFailure) and out.reason == "closure_gate"
+        assert out.residual > solve.CLOSURE_GATE
+        assert f"by {out.residual - solve.CLOSURE_GATE:.3e}" in out.detail
 
 
 class TestCertify:
