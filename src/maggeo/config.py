@@ -23,9 +23,11 @@ get analytic derivative callbacks by symbolic differentiation unless
 ``derivatives = fd`` is requested (with an optional ``fd_step``).  A
 ``[system]``, ``[task]`` or ``[output]`` key that the run would not read is
 reported, the ``[task]`` keys of each command as ``COMMAND_KEYS`` lists
-them.  Like every field callback, those of an expression system evaluate a
-point or a stack of points in one call: each entry is one numpy evaluation
-of its expression over the stack.
+them.  A point or vector key (``seed_x``, ``seed_v``, ``v0``, ``center``)
+needs one entry per coordinate, and ``seed_v`` must be nonzero.  Like every
+field callback, those of an expression system evaluate a point or a stack of
+points in one call: each entry is one numpy evaluation of its expression
+over the stack.
 """
 
 from __future__ import annotations
@@ -356,6 +358,21 @@ def _build_task(taskc, problems):
     return task
 
 
+# [task] keys that hold a point or a vector of the chart
+_VECTOR_KEYS = ("seed_x", "seed_v", "v0", "center")
+
+
+def _check_vectors(task, dim, problems):
+    """Each point or vector key of the task has one entry per coordinate,
+    and the seed velocity is nonzero (it is scaled to the energy level)."""
+    for key in _VECTOR_KEYS:
+        if key in task and len(task[key]) != dim:
+            problems.append(f"task.{key}: needs {dim} entries, one per coordinate, "
+                            f"got {len(task[key])}")
+    if len(task.get("seed_v", ())) == dim and not any(task["seed_v"]):
+        problems.append("task.seed_v: must be nonzero")
+
+
 def _build_output(outc, problems):
     output = {"dir": outc.get("dir", "out")}
     if "formats" in outc:
@@ -393,6 +410,8 @@ def parse_config(text):
 
     system = _build_system(dict(sections["system"]), problems)
     task = _build_task(dict(sections["task"]), problems)
+    if system is not None and task is not None:
+        _check_vectors(task, system.dim, problems)
     output = _build_output(dict(sections.get("output", {})), problems)
     if problems:
         raise ConfigError(problems)

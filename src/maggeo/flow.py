@@ -12,7 +12,11 @@ along the velocity; the induced end map is g-orthogonal.
 Every integration goes through one DOP853 call, ``_solve``.  The flow and
 its variational equation share one chart-exit loop, ``_drive``, which
 applies a swap map to the state at each exit; transport follows the
-orbit's stored segments instead, at the orbit's tolerance.
+orbit's stored segments instead, at the orbit's tolerance.  A step of the
+flow or of its variational equation evaluates its point in one checked
+pass (``geom._point_acceleration``, ``geom._point_acceleration_and_jacobian``)
+and builds no ``PointGeometry``; each integration builds one, for the stack
+of its samples or of its two ends.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ def energy(sys, state):
 
 
 def magnetic_ode_rhs(sys, state):
-    """(dx/dt, dv/dt) with (dv/dt)^k = -Gamma^k_ij v^i v^j + Om^k_j v^j."""
-    return state.v.copy(), geom.acceleration(geom.PointGeometry(sys, state.x), state.v)
+    """(dx/dt, dv/dt) with (dv/dt)^k = -Gamma^k_ij v^i v^j + Om^k_j v^j, at
+    the state's single point."""
+    return state.v.copy(), geom._point_acceleration(sys, state.x, state.v)
 
 
 @dataclass
@@ -193,7 +198,7 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
     defines them; leaving a bounded chart without a transition raises.
     """
     n = sys.dim
-    state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
+    state0 = _start_state(sys, state0)
     _, segments, swaps, nfev = _drive(
         sys, lambda t, y: _vector_field(sys, y), np.concatenate([state0.x, state0.v]),
         t_end, tolerance, partial(_transition, sys), dense_output=True)
@@ -256,11 +261,11 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
     """
     n = sys.dim
     m = 2 * n
-    state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
+    state0 = _start_state(sys, state0)
 
     def rhs(t, y):
         v, phi = y[n:m], y[m:].reshape(m, m)
-        a, jx, jv = geom.acceleration_and_jacobian(geom.PointGeometry(sys, y[:n]), v)
+        a, jx, jv = geom._point_acceleration_and_jacobian(sys, y[:n], v)
         return np.concatenate([v, a, phi[n:].ravel(), (jx @ phi[:n] + jv @ phi[n:]).ravel()])
 
     def swap(y):
@@ -287,9 +292,21 @@ def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
                      chart_swaps=swaps)
 
 
+def _start_state(sys, state0):
+    """state0 as a PhaseState, whose x and v must each have shape (n,): the
+    RHS of a flow step reads the state by slicing it at n."""
+    state0 = state0 if isinstance(state0, PhaseState) else PhaseState(*state0)
+    expected = (sys.dim,)
+    if state0.x.shape != expected or state0.v.shape != expected:
+        raise ValueError(f"start state needs x and v of shape {expected}, got "
+                         f"{state0.x.shape} and {state0.v.shape}")
+    return state0
+
+
 def _vector_field(sys, y):
     n = sys.dim
-    return np.concatenate([y[n:], geom.acceleration(geom.PointGeometry(sys, y[:n]), y[n:])])
+    v = y[n:]
+    return np.concatenate([v, geom._point_acceleration(sys, y[:n], v)])
 
 
 def _transition(sys, y):

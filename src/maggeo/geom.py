@@ -35,11 +35,18 @@ functions below take a point or a ``PointGeometry`` as ``x``, the functions
 of vectors one point, and those of the magnetic geodesic equation a
 ``PointGeometry`` ``pg`` and vectors ``v``, ``V`` with its leading axes.
 The equation reads only the fields and solves with g, forming no g^{-1} of
-the ``PointGeometry``: at a single point, as in each flow step, by one
-LAPACK Cholesky solve, which rejects a g that is not positive-definite; on a
-stack by LU, which rejects only a singular g.  The flow also factorises a
-stack once per integration: its sampled points (``flow.integrate``) or its
-two ends (``flow.integrate_variational``).  ``PointGeometry.frame`` is the
+the ``PointGeometry``: at a single point by one LAPACK Cholesky solve, which
+rejects a g that is not positive-definite; on a stack by LU, which rejects
+only a singular g.  ``PointGeometry`` is the stack API.  A flow step
+evaluates its single point in one checked pass instead,
+``ChartedSystem.point_fields`` (and ``d2metric_at``, ``dtwo_form_at`` for
+the variational step): one call of each callback, each value's shape, exact
+(anti)symmetry or finite sum tested directly, and the checked ``*_at``
+method called only for a value that fails, to raise its named error; the
+step's acceleration (``_point_acceleration``) equals ``acceleration`` of the
+point's ``PointGeometry`` bit for bit.  The flow factorises a stack once per
+integration: its sampled points (``flow.integrate``) or its two ends
+(``flow.integrate_variational``).  ``PointGeometry.frame`` is the
 g-orthonormal frame L^{-T} of the stack's Cholesky factor g = L L^T, and
 ``orthonormal_completion`` completes unit vectors at every point of a stack.
 ``ChartedSystem`` values are immutable.
@@ -227,6 +234,32 @@ class ChartedSystem:
 
     def dtwo_form_at(self, x):
         return self._derivative("dtwo_form", "two_form", x, 1)
+
+    # -- one point in one pass: the fields of a flow step ---------------------
+
+    def point_fields(self, x):
+        """(g, dg, sigma) at the single point x of shape (n,), from one call
+        of each callback, with every check of ``metric_at``, ``dmetric_at``
+        and ``two_form_at``.  Each value is tested exactly: its shape, and
+        exact (anti)symmetry or a finite sum, which a NaN or inf entry also
+        fails (inf - inf is NaN).  Only a value that fails goes through the
+        checked method, which raises its named error or returns a matrix
+        (anti)symmetric within tolerance.  Under the fd scheme dg is
+        ``dmetric_at``, by central differences of the metric."""
+        n = self.dim
+        g = np.asarray(self.metric(x), dtype=float)
+        if g.shape != (n, n) or np.count_nonzero(g - g.T):
+            g = self.metric_at(x)
+        if self.scheme == "fd":
+            dg = self.dmetric_at(x)
+        else:
+            dg = np.asarray(self.dmetric(x), dtype=float)
+            if dg.shape != (n, n, n) or not math.isfinite(dg.sum()):
+                dg = self.dmetric_at(x)
+        sigma = np.asarray(self.two_form(x), dtype=float)
+        if sigma.shape != (n, n) or np.count_nonzero(sigma + sigma.T):
+            sigma = self.two_form_at(x)
+        return g, dg, sigma
 
 
 def _check_symmetry(a, x, sign, error, name):
@@ -501,46 +534,74 @@ def _lowered_connection(dg, v):
     return 0.5 * (((dg @ v[..., None, :, None])[..., 0] - p).swapaxes(-1, -2) + p)
 
 
+def _point_solve(g, rhs, x):
+    """g^{-1} rhs at the single point x by one LAPACK Cholesky solve; a g
+    that is not positive-definite raises ``DegenerateMetricError`` naming x."""
+    _, out, info = dposv(g, rhs)
+    if info > 0:
+        raise DegenerateMetricError(f"degenerate metric at x={x!r}")
+    return out
+
+
 def _metric_solve(pg, rhs=None):
     """g^{-1} rhs for a stack of (n, k) right-hand sides, or g^{-1}.  At a
-    single point this is one Cholesky solve, and a g that is not
-    positive-definite raises ``DegenerateMetricError`` naming the point; on
-    a stack a singular g raises it, naming its first point."""
+    single point this is ``_point_solve``; on a stack a singular g raises
+    ``DegenerateMetricError``, naming its first point."""
     g = pg.g
     if g.ndim == 2:
-        _, out, info = dposv(g, np.eye(len(g)) if rhs is None else rhs)
-        if info > 0:
-            raise _degenerate(pg, np.array(True))
-        return out
+        return _point_solve(g, np.eye(len(g)) if rhs is None else rhs, pg.x)
     try:
         return np.linalg.inv(g) if rhs is None else np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
         raise _degenerate(pg, ~(np.abs(np.linalg.det(g)) > 0.0)) from None
 
 
-def acceleration(pg, v):
-    """dv/dt = Om v - Gamma(v, v) of the flow, from the force
-    sigma v - Gamma_flat(v, v) = sigma v - (d_v g) v + (1/2) v^i v^j d g_ij."""
-    dg = pg.dg
+def _force(dg, sigma, v):
+    """sigma v - Gamma_flat(v, v) = sigma v - (d_v g) v + (1/2) v^i v^j d g_ij,
+    one (n,) vector per point, for a single point or a stack."""
     dvg = (dg @ v[..., None, :, None])[..., 0]      # d_v g
     vdg = (v[..., None, None, :] @ dg)[..., 0, :]   # vdg[i, l] = v^j d_l g_ij
-    force = (pg.sigma - dvg) @ v[..., None] + 0.5 * (v[..., None, :] @ vdg).swapaxes(-1, -2)
-    return _metric_solve(pg, force)[..., 0]
+    return ((sigma - dvg) @ v[..., None]
+            + 0.5 * (v[..., None, :] @ vdg).swapaxes(-1, -2))[..., 0]
+
+
+def acceleration(pg, v):
+    """dv/dt = Om v - Gamma(v, v) of the flow: g^{-1} ``_force``."""
+    return _metric_solve(pg, _force(pg.dg, pg.sigma, v)[..., None])[..., 0]
 
 
 def acceleration_and_jacobian(pg, v):
     """(a, J_x, J_v): ``acceleration(pg, v)`` and its derivatives by the point
-    and by v, from one inversion of g:
+    and by v, from one inversion of g (``_jacobian``)."""
+    return _jacobian(_metric_solve(pg), pg.dg, pg.sigma, pg.d2g, pg.dsigma, v)
+
+
+def _jacobian(ginv, dg, sigma, d2g, dsigma, v):
+    """(a, J_x, J_v) from g^{-1} and the fields:
     J_x[:, m] = g^{-1}(d_m sigma v - d_m Gamma_flat(v, v) - d_m g a),
     J_v = g^{-1}(sigma - 2 Gamma_flat(v, .)).  d_m Gamma_flat(v, v) is d2g
     against v twice; the derivative index of d2g stays last."""
-    ginv = _metric_solve(pg)
-    conn = _lowered_connection(pg.dg, v)
-    a = (ginv @ ((pg.sigma - conn) @ v[..., None]))[..., 0]
-    w = _along_first(v, pg.d2g)   # w[l, i, m] = v^j d_i d_m g_jl
+    conn = _lowered_connection(dg, v)
+    a = (ginv @ ((sigma - conn) @ v[..., None]))[..., 0]
+    w = _along_first(v, d2g)   # w[l, i, m] = v^j d_i d_m g_jl
     dconn = (v[..., None, None, :] @ w)[..., 0, :] - 0.5 * _along_first(v, w)
-    dforce = (v[..., None, None, :] @ pg.dsigma - a[..., None, None, :] @ pg.dg)[..., 0, :]
-    return a, ginv @ (dforce - dconn), ginv @ (pg.sigma - 2.0 * conn)
+    dforce = (v[..., None, None, :] @ dsigma - a[..., None, None, :] @ dg)[..., 0, :]
+    return a, ginv @ (dforce - dconn), ginv @ (sigma - 2.0 * conn)
+
+
+def _point_acceleration(sys, x, v):
+    """``acceleration(PointGeometry(sys, x), v)`` at the single point x, bit
+    for bit, from one checked pass of ``sys.point_fields``: the flow step."""
+    g, dg, sigma = sys.point_fields(x)
+    return _point_solve(g, _force(dg, sigma, v), x)
+
+
+def _point_acceleration_and_jacobian(sys, x, v):
+    """``acceleration_and_jacobian(PointGeometry(sys, x), v)`` at the single
+    point x, bit for bit, from one checked pass: the variational flow step."""
+    g, dg, sigma = sys.point_fields(x)
+    return _jacobian(_point_solve(g, np.eye(len(g)), x), dg, sigma,
+                     sys.d2metric_at(x), sys.dtwo_form_at(x), v)
 
 
 def acceleration_jacobian(pg, v):

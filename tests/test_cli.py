@@ -304,6 +304,30 @@ class TestCommands:
             f"config error: --seed: not read by command {command!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, line, problem", [
+        ("integrate", "seed_x = 0, 0, 0", "task.seed_x: needs 2 entries, one per coordinate, got 3"),
+        ("find-orbit", "seed_x = 0, 0, 0", "task.seed_x: needs 2 entries, one per coordinate, got 3"),
+        ("transport", "v0 = 1, 0, 0", "task.v0: needs 2 entries, one per coordinate, got 3"),
+        ("integrate", "seed_v = 0, 0", "task.seed_v: must be nonzero"),
+        ("mane-bound", "center = 0", "task.center: needs 2 entries, one per coordinate, got 1"),
+    ])
+    def test_seed_vectors_checked_against_the_dimension(self, tmp_path, capsys, command, line,
+                                                        problem):
+        """A point or vector of the wrong length, or a zero seed velocity, is
+        a schema problem (exit 2, no outputs), not a runtime failure."""
+        out = tmp_path / "out"
+        required = "\n".join(f"{key} = {TASK_VALUES[key]}" for key in COMMAND_KEYS[command][0])
+        text = (f"[system]\nbuiltin = sine_field_torus\n\n[task]\ncommand = {command}\n"
+                f"{required}\n{line}\n\n[output]\ndir = {out}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [problem]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["--config", str(path)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scan_and_theorem_b(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         out_dir = tmp_path / "outs"

@@ -111,6 +111,12 @@ class TestIntegrate:
                 run(torus, st, -1.0)
             with pytest.raises(ValueError, match="tolerance"):
                 run(torus, st, 1.0, tolerance=0.0)
+            # the step slices the state at n: a start state of another shape
+            # is rejected before the first step
+            for x, v in (([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, 0.0, 0.0]),
+                         ([[0.0, 0.0]], [[1.0, 0.0]])):
+                with pytest.raises(ValueError, match=r"start state needs x and v of shape \(2,\)"):
+                    run(torus, flow.PhaseState(x, v), 1.0)
 
 
 class TestOmegaTilde:

@@ -1,7 +1,9 @@
 """Evaluation counts: each field callback is called, and the metric
 factorised, once per point or stack of points, and the magnetic geodesic
 equation forms no g^{-1} of the PointGeometry, solving with g at each flow
-step by one LAPACK Cholesky solve; a callback that ignores the stack axis
+step by one LAPACK Cholesky solve; a flow step evaluates its point in one
+checked pass, builds no PointGeometry, raises the stack API's named errors
+and equals the stack API bit for bit; a callback that ignores the stack axis
 is rejected; a stack of points has the geometry of each of its points, and
 the equation equals the contractions of its tensors, for every builtin and
 for expression systems."""
@@ -148,33 +150,110 @@ def touched(monkeypatch):
 
 
 def test_flow_steps_solve_by_one_cholesky(counted, touched, monkeypatch):
-    """No RHS call of the flow reads Gamma, dGamma, Om, dOm or g^{-1}, or
-    reaches ``np.linalg.solve`` or ``inv``: each step solves with the g of
-    its point by one LAPACK Cholesky solve.  ``integrate`` checks g
-    positive-definite on its sample stack by one Cholesky factorisation,
-    ``integrate_variational`` on the stack of its two ends, each inverting
-    the factor once."""
+    """No RHS call of the flow builds a PointGeometry, reads Gamma, dGamma,
+    Om, dOm or g^{-1}, or reaches ``np.linalg.solve`` or ``inv``: each step
+    evaluates its point in one checked pass, calling every callback it
+    reads once, and solves with the g of its point by one LAPACK Cholesky
+    solve.  ``integrate`` builds one PointGeometry, for its sample stack,
+    checks g positive-definite on it by one Cholesky factorisation and
+    reads g once more for the start energy; ``integrate_variational``
+    builds one for the stack of its two ends and evaluates the vector field
+    once more at the end state; each inverts the factor once."""
     sys, counts = counted
     for module, name in ((geom, "dposv"), (np.linalg, "solve"), (np.linalg, "inv")):
         def count(*args, name=name, fn=getattr(module, name), **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, count)
+    init = geom.PointGeometry.__init__
+
+    def counting_init(pg, *args):
+        counts["PointGeometry"] += 1
+        init(pg, *args)
+
+    monkeypatch.setattr(geom.PointGeometry, "__init__", counting_init)
     state = flow.PhaseState([0.3, 1.1, 2.0], [0.4, -0.2, 0.3])
     counts.clear()
-    orbit = flow.integrate(sys, state, 2.0, samples=17)
-    assert orbit.meta["nfev"] > 100
+    nfev = flow.integrate(sys, state, 2.0, samples=17).meta["nfev"]
+    assert nfev > 100
     assert touched == [("ginv", (17, 3))]
-    assert counts["cholesky"] == 1
-    assert (counts["dposv"], counts["solve"], counts["inv"]) == (orbit.meta["nfev"], 0, 1)
+    assert dict(counts) == {"PointGeometry": 1, "cholesky": 1, "inv": 1, "dposv": nfev,
+                            "metric": nfev + 2, "dmetric": nfev, "two_form": nfev}
     touched.clear()
     counts.clear()
-    mono = flow.integrate_variational(sys, state, 2.0)
-    assert mono.nfev > 100
+    nfev = flow.integrate_variational(sys, state, 2.0).nfev
+    assert nfev > 100
     assert touched == [("ginv", (2, 3))]
-    assert counts["cholesky"] == 1
-    # one more Cholesky solve: the vector field at the end state
-    assert (counts["dposv"], counts["solve"], counts["inv"]) == (mono.nfev + 1, 0, 1)
+    assert dict(counts) == {"PointGeometry": 1, "cholesky": 1, "inv": 1, "dposv": nfev + 1,
+                            "metric": nfev + 2, "dmetric": nfev + 1, "two_form": nfev + 1,
+                            "d2metric": nfev, "dtwo_form": nfev}
+
+
+def _defect(name):
+    """A 2-D analytic system, flat with a zero two-form, whose field goes
+    wrong as ``name`` says at the points with x1 >= 1."""
+    def zero(*shape):
+        return lambda x: np.zeros(x.shape[:-1] + shape)
+
+    def from_x1_one(field, entry, value):   # field, with ``entry`` set to value where x1 >= 1
+        def callback(x):
+            a = field(x)
+            a[(...,) + entry] = np.where(x[..., 0] >= 1.0, value, a[(...,) + entry])
+            return a
+        return callback
+
+    fields = dict(metric=lambda x: np.zeros(x.shape[:-1] + (2, 2)) + np.eye(2),
+                  two_form=zero(2, 2), dmetric=zero(2, 2, 2), d2metric=zero(2, 2, 2, 2),
+                  dtwo_form=zero(2, 2, 2))
+    if name.startswith("wrong shape"):   # one more coordinate in every index
+        callback = name.split()[-1]
+        field, rank = fields[callback], fields[callback](np.zeros(2)).ndim
+        fields[callback] = lambda x: (np.zeros(x.shape[:-1] + (3,) * rank)
+                                      if np.max(x[..., 0]) >= 1.0 else field(x))
+    elif name == "asymmetric g":
+        fields["metric"] = from_x1_one(fields["metric"], (0, 1), 0.1)
+    elif name == "symmetric sigma":
+        fields["two_form"] = from_x1_one(from_x1_one(zero(2, 2), (0, 1), 0.1), (1, 0), 0.1)
+    elif name == "indefinite g":
+        fields["metric"] = from_x1_one(fields["metric"], (1, 1), -1.0)
+    else:   # "NaN in <derivative callback>"
+        callback = name.split()[-1]
+        entry = (0, 1) + (0,) * (fields[callback](np.zeros(2)).ndim - 2)
+        fields[callback] = from_x1_one(fields[callback], entry, np.nan)
+    return geom.ChartedSystem(dim=2, scheme="analytic", **fields)
+
+
+@pytest.mark.parametrize("defect", [
+    "wrong shape metric", "wrong shape dmetric", "wrong shape two_form", "asymmetric g",
+    "symmetric sigma", "NaN in dmetric", "indefinite g", "NaN in d2metric", "NaN in dtwo_form"])
+def test_defect_in_a_step_raises_the_named_error(defect):
+    """A field that goes wrong on the way raises, in a step of ``integrate``
+    and of ``integrate_variational`` (within ``flow._solve``, not in the
+    checks of the sample stack after it), the error that the stack API
+    raises at such a point: shape, (anti)symmetry and finiteness from the
+    ``*_at`` methods, positive-definiteness from the solve, naming a point
+    where it went wrong.  ``integrate`` reads no d2g or dsigma."""
+    sys = _defect(defect)
+    v = np.array([1.0, 0.0])
+    with pytest.raises((ValueError, DegenerateMetricError)) as reference:
+        geom.acceleration_and_jacobian(geom.PointGeometry(sys, np.array([1.5, 0.3])), v)
+    error = type(reference.value)
+    named = str(reference.value).split(" at x=")[0]
+    state = flow.PhaseState([0.0, 0.3], v)
+    runs = [flow.integrate_variational]
+    if defect in ("NaN in d2metric", "NaN in dtwo_form"):
+        assert flow.integrate(sys, state, 3.0).meta["nfev"] > 0
+    else:
+        runs.append(flow.integrate)
+    for run in runs:
+        with pytest.raises(error) as info:
+            run(sys, state, 3.0)
+        assert type(info.value) is error
+        assert "_solve" in [entry.name for entry in info.traceback]
+        message, _, point = str(info.value).partition(" at x=")
+        assert message == named
+        if point:
+            assert float(re.match(r"array\(\[([^,]+),", point).group(1)) >= 1.0
 
 
 def test_closing_jacobian_inverts_the_metric_once(counted, touched, monkeypatch):
@@ -532,3 +611,36 @@ def test_equation_matches_tensor_contractions(trig_system, seed):
             for name, mine, theirs, scale in zip(("a", "J_x", "J_v", "transport"),
                                                  got, ref, scales):
                 assert _rel_err(mine, theirs, scale) <= 1e-13, (sys.name, sys.scheme, name)
+
+
+def _nearly_symmetric(sys):
+    """sys with g and sigma off exact (anti)symmetry by 1e-13, within the
+    tolerance of ``metric_at`` and ``two_form_at``: the flow step takes them
+    through the checked methods."""
+    skew = np.zeros((sys.dim, sys.dim))
+    skew[0, 1] = 1e-13
+    return dataclasses.replace(sys, metric=lambda x: sys.metric(x) + skew,
+                               two_form=lambda x: sys.two_form(x) + skew,
+                               name="nearly_symmetric")
+
+
+@given(trig_systems, st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_flow_step_matches_the_point_geometry(trig_system, seed):
+    """The single-point pass of a flow step equals the stack API bit for bit:
+    ``flow._vector_field`` is (v, ``acceleration(PointGeometry(sys, x), v)``),
+    ``magnetic_ode_rhs`` the same, and the variational step's (a, J_x, J_v)
+    is ``acceleration_and_jacobian``."""
+    for sys in [trig_system, _nearly_symmetric(trig_system)] + OTHER_SYSTEMS:
+        rng = np.random.default_rng(seed)
+        for x, v in zip(rng.uniform(0.5, 2.0 * np.pi, size=(3, sys.dim)),
+                        rng.normal(size=(3, sys.dim))):
+            pg = geom.PointGeometry(sys, x)
+            a = geom.acceleration(pg, v)
+            assert np.array_equal(flow._vector_field(sys, np.concatenate([x, v])),
+                                  np.concatenate([v, a])), sys.name
+            dx, dv = flow.magnetic_ode_rhs(sys, flow.PhaseState(x, v))
+            assert np.array_equal(dx, v) and np.array_equal(dv, a)
+            step = geom._point_acceleration_and_jacobian(sys, x, v)
+            for mine, ref in zip(step, geom.acceleration_and_jacobian(pg, v)):
+                assert np.array_equal(mine, ref), sys.name
