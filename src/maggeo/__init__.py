@@ -28,7 +28,6 @@ from .errors import (  # noqa: F401
     MaggeoError,
     NotCriticalError,
     ParseError,
-    SingularJacobianError,
     StiffTrajectoryError,
 )
 from .geom import ChartedSystem, PointGeometry  # noqa: F401

@@ -3,7 +3,9 @@
 Exit status is 0 only when every certification requested by the command
 passes; schema violations exit 2 with the offending key paths listed and
 no partial outputs written; runtime failures exit 1 with a
-machine-readable error JSON.
+machine-readable error JSON.  A command reads its ``[task]`` keys with
+their defaults filled in by ``config.COMMAND_KEYS`` and writes every
+output through ``_emit``.
 """
 
 from __future__ import annotations
@@ -15,27 +17,23 @@ import sys
 import numpy as np
 
 from . import flow, loop as loop_mod, magcurv, solve
-from .config import COMMAND_KEYS, load_config
+from .config import load_config
 from .errors import ConfigError, MaggeoError
-from .io import dump_csv, dump_json
+from .io import SCHEMA_VERSION, dump_csv, dump_json
 
 
 def _out_path(config, name):
     return os.path.join(config.output["dir"], name)
 
 
-def _emit(config, stem, json_payload=None, csv_writer=None):
-    written = []
+def _emit(config, stem, payload, csv_writer=None):
+    """Write ``payload`` to ``stem``.json and, through ``csv_writer(path)``,
+    ``stem``.csv, each if its format is asked for."""
     formats = config.output["formats"]
-    if json_payload is not None and "json" in formats:
-        path = _out_path(config, stem + ".json")
-        dump_json(path, json_payload)
-        written.append(path)
+    if "json" in formats:
+        dump_json(_out_path(config, stem + ".json"), payload)
     if csv_writer is not None and "csv" in formats:
-        path = _out_path(config, stem + ".csv")
-        csv_writer(path)
-        written.append(path)
-    return written
+        csv_writer(_out_path(config, stem + ".csv"))
 
 
 def default_seed_state(sys, k, task):
@@ -74,14 +72,13 @@ def _default_t_guess(sys, k, x, task):
 def _search_options(task):
     """Tolerance and index resolution of the orbit search, for ``find_orbit``
     and ``continue_in_k``."""
-    return {"tol": task.get("tolerance", 1e-12), "n_nodes": task.get("nodes", 512),
-            "mode_count": task.get("modes", 32)}
+    return {"tol": task["tolerance"], "n_nodes": task["nodes"], "mode_count": task["modes"]}
 
 
 def _find_orbit(sys_, task, k):
     state = default_seed_state(sys_, k, task)
     winding_target = None
-    if task.get("contractible", True) and sys_.lattice is not None:
+    if task["contractible"] and sys_.lattice is not None:
         winding_target = tuple(0 for _ in range(sys_.dim))
     return solve.find_orbit(sys_, k, state, _default_t_guess(sys_, k, state.x, task),
                             winding_target=winding_target, **_search_options(task))
@@ -92,10 +89,8 @@ def cmd_integrate(config):
     task = config.task
     k = task["k"]
     state = default_seed_state(sys_, k, task)
-    t_end = task.get("t_end", 4.0 * np.pi)
-    orbit = flow.integrate(sys_, state, t_end,
-                           tolerance=task.get("tolerance", 1e-10),
-                           samples=task.get("samples", 513))
+    orbit = flow.integrate(sys_, state, task["t_end"], tolerance=task["tolerance"],
+                           samples=task["samples"])
     _emit(config, "orbit", orbit.to_json(), orbit.to_csv)
     return 0
 
@@ -104,19 +99,15 @@ def cmd_curvature(config):
     sys_ = config.system
     task = config.task
     k = task["k"]
-    n_samples = task.get("samples", 256)
-    points, vs, ws = magcurv._sample_geometry(sys_, n_samples, task["seed"], None, pairs=True)
-    points.riemann, points.nabla_omega   # on the stack, before the per-sample slices
+    points, vs, ws = magcurv._sample_geometry(sys_, task["samples"], task["seed"], pairs=True)
+    cs = magcurv.curvature_sample(sys_, points, vs, k, w=ws)
     header = ([f"x{i+1}" for i in range(sys_.dim)]
               + [f"v{i+1}" for i in range(sys_.dim)] + ["k", "sec", "ric", "traceA"])
-    rows = []
-    for i, (v, w) in enumerate(zip(vs, ws)):
-        cs = magcurv.curvature_sample(sys_, points[i], v, k, w=w)
-        rows.append([float(c) for c in points.x[i]] + [float(c) for c in v]
-                    + [k, cs.sec, cs.ric, cs.traceA])
+    rows = [x + v + [k] + values for x, v, *values in zip(
+        points.x.tolist(), vs.tolist(), cs.sec.tolist(), cs.ric.tolist(), cs.traceA.tolist())]
     _emit(config, "curvature", {
-        "schema_version": 1, "kind": "curvature_samples", "system": sys_.name,
-        "k": k, "n_samples": n_samples, "seed": task["seed"],
+        "schema_version": SCHEMA_VERSION, "kind": "curvature_samples", "system": sys_.name,
+        "k": k, "n_samples": task["samples"], "seed": task["seed"],
         "min_sec": min(r[-3] for r in rows), "min_ric": min(r[-2] for r in rows),
         "min_traceA": min(r[-1] for r in rows),
     }, lambda path: dump_csv(path, header, rows))
@@ -125,25 +116,17 @@ def cmd_curvature(config):
 
 def cmd_scan_k0(config):
     task = config.task
-    report = magcurv.positivity_scan(config.system, task["k_grid"],
-                                     task.get("sample_budget", 128), task["seed"])
-    _emit(config, "scan_k0", None, report.to_csv)
-    if "json" in config.output["formats"]:
-        report.to_json(_out_path(config, "scan_k0.json"))
+    report = magcurv.positivity_scan(config.system, task["k_grid"], task["sample_budget"],
+                                     task["seed"])
+    _emit(config, "scan_k0", report.to_json(), report.to_csv)
     return 0
 
 
 def cmd_theorem_b(config):
     task = config.task
-    grid = task.get("grid", [24, 24])
-    report = magcurv.theorem_b_scan(config.system, task["k0"],
-                                    k_steps=task.get("k_steps", 8),
-                                    grid_shape=tuple(grid))
-    if "json" in config.output["formats"]:
-        report.to_json(_out_path(config, "theorem_b.json"))
-    if "csv" in config.output["formats"]:
-        dump_csv(_out_path(config, "theorem_b.csv"), ["k", "min_sec", "positive"],
-                 [[k, m, p] for k, m, p in zip(report.k_grid, report.min_sec, report.positive)])
+    report = magcurv.theorem_b_scan(config.system, task["k0"], k_steps=task["k_steps"],
+                                    grid_shape=tuple(task["grid"]))
+    _emit(config, "theorem_b", report.to_json(), report.to_csv)
     return 0
 
 
@@ -171,16 +154,15 @@ def cmd_transport(config):
     task = config.task
     k = task["k"]
     state = default_seed_state(sys_, k, task)
-    t_end = task.get("t_end", 2.0 * np.pi)
-    orbit = flow.integrate(sys_, state, t_end,
-                           tolerance=task.get("tolerance", 1e-10))
-    v0 = np.asarray(task.get("v0", np.eye(sys_.dim)[-1]), dtype=float)
+    t_end = task["t_end"]
+    orbit = flow.integrate(sys_, state, t_end, tolerance=task["tolerance"])
+    v0 = np.asarray(task["v0"], dtype=float) if "v0" in task else np.eye(sys_.dim)[-1]
     tf = flow.magnetic_transport(sys_, orbit, v0)
     g = sys_.metric_at(orbit.states[:, :sys_.dim])
     norms = np.einsum("mi,mij,mj->m", tf.values, g, tf.values)
     drift = float(np.max(np.abs(norms - norms[0])))
     _emit(config, "transport", {
-        "schema_version": 1, "kind": "transport", "system": sys_.name,
+        "schema_version": SCHEMA_VERSION, "kind": "transport", "system": sys_.name,
         "k": k, "t_end": t_end, "norm_drift": drift,
         "end_value": [float(c) for c in tf.end_value],
     }, tf.to_csv)
@@ -199,10 +181,8 @@ def cmd_bonnet_myers(config):
     if len(k_grid) > 1:
         family += solve.continue_in_k(sys_, record, k_grid[1:], **_search_options(task))
     payload = {
-        "schema_version": 1, "kind": "bonnet_myers_sweep", "system": sys_.name,
-        "k_grid": [float(k) for k in k_grid],
-        "records": [r.to_json() if isinstance(r, solve.OrbitRecord) else r.to_json()
-                    for r in family],
+        "schema_version": SCHEMA_VERSION, "kind": "bonnet_myers_sweep", "system": sys_.name,
+        "k_grid": [float(k) for k in k_grid], "records": [r.to_json() for r in family],
     }
     _emit(config, "bonnet_myers", payload,
           lambda path: solve.family_to_csv(path, family))
@@ -214,23 +194,21 @@ def cmd_bonnet_myers(config):
 def cmd_mane_bound(config):
     sys_ = config.system
     task = config.task
-    center = np.asarray(task.get("center", np.zeros(sys_.dim)), dtype=float)
-    if sys_.name.startswith("hyperbolic") and "center" not in task:
+    if "center" in task:
+        center = np.asarray(task["center"], dtype=float)
+    elif sys_.name.startswith("hyperbolic"):
         center = np.array([0.0, 2.0])
+    else:
+        center = np.zeros(sys_.dim)
     boxes = []
     for radius in task["radii"]:
         box = [(float(c - radius), float(c + radius)) for c in center]
         if sys_.name.startswith("hyperbolic"):
             box[1] = (max(box[1][0], 0.1), box[1][1])
         boxes.append(box)
-    report = loop_mod.mane_upper_bound(sys_, boxes,
-                                       n_samples=task.get("samples", 2048),
+    report = loop_mod.mane_upper_bound(sys_, boxes, n_samples=task["samples"],
                                        seed=task["seed"])
-    if "json" in config.output["formats"]:
-        report.to_json(_out_path(config, "mane_bound.json"))
-    if "csv" in config.output["formats"]:
-        dump_csv(_out_path(config, "mane_bound.csv"), ["region", "sup_theta"],
-                 [[i, s] for i, s in enumerate(report.sup_theta)])
+    _emit(config, "mane_bound", report.to_json(), report.to_csv)
     return 0
 
 
@@ -238,17 +216,13 @@ def cmd_report(config):
     sys_ = config.system
     record = _find_orbit(sys_, config.task, config.task["k"])
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "report",
         "system": sys_.name,
         "k": config.task["k"],
+        "orbit": record.to_json(),
     }
-    status = 1
-    if isinstance(record, solve.OrbitRecord):
-        payload["orbit"] = record.to_json()
-        status = 0 if record.certified else 1
-    else:
-        payload["orbit"] = record.to_json()
+    status = 0 if isinstance(record, solve.OrbitRecord) and record.certified else 1
     if sys_.primitive is not None:
         try:
             mane = loop_mod.mane_upper_bound(
@@ -284,7 +258,7 @@ def run(config, verbose=False):
         return _DISPATCH[command](config)
     except (MaggeoError, ValueError) as exc:
         dump_json(_out_path(config, "error.json"), {
-            "schema_version": 1, "kind": "error", "command": command,
+            "schema_version": SCHEMA_VERSION, "kind": "error", "command": command,
             "error_type": type(exc).__name__, "message": str(exc),
         })
         if verbose:
@@ -315,7 +289,7 @@ def main(argv=None):
         return 2
 
     if args.seed is not None:
-        if "seed" not in sum(COMMAND_KEYS[config.command], ()):
+        if "seed" not in config.task:
             print(f"config error: --seed: not read by command {config.command!r}",
                   file=sys.stderr)
             return 2

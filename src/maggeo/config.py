@@ -23,7 +23,9 @@ get analytic derivative callbacks by symbolic differentiation unless
 ``derivatives = fd`` is requested (with an optional ``fd_step``).  A
 ``[system]``, ``[task]`` or ``[output]`` key that the run would not read is
 reported, the ``[task]`` keys of each command as ``COMMAND_KEYS`` lists
-them.  A point or vector key (``seed_x``, ``seed_v``, ``v0``, ``center``)
+them; the task holds every optional key with its default filled in, but
+for those whose default the run derives from the system.  Numbers must
+be finite.  A point or vector key (``seed_x``, ``seed_v``, ``v0``, ``center``)
 needs one entry per coordinate, and ``seed_v`` must be nonzero.  Like every
 field callback, those of an expression system evaluate a point or a stack of
 points in one call: each entry is one numpy evaluation of its expression
@@ -32,6 +34,7 @@ over the stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +80,14 @@ def parse_sections(text):
 
 
 def _as_float(raw):
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
 def _as_int(raw):
-    value = float(raw)
+    value = _as_float(raw)
     if value != int(value):
         raise ValueError("not an integer")
     return int(value)
@@ -96,7 +102,7 @@ def _as_bool(raw):
     raise ValueError("not a boolean")
 
 
-def _as_list(raw, conv=float):
+def _as_list(raw, conv=_as_float):
     return [conv(part.strip()) for part in raw.split(",") if part.strip()]
 
 
@@ -192,7 +198,7 @@ def _build_expression_system(sysc, problems):
         try:
             fd_step = _as_float(sysc["fd_step"])
         except ValueError:
-            problems.append("system.fd_step: not a number")
+            problems.append("system.fd_step: not a finite number")
             return None
         if fd_step <= 0:
             problems.append("system.fd_step: must be positive")
@@ -203,7 +209,7 @@ def _build_expression_system(sysc, problems):
         try:
             lattice = tuple(_as_list(sysc["lattice"]))
         except ValueError:
-            problems.append("system.lattice: not a list of numbers")
+            problems.append("system.lattice: not a list of finite numbers")
             return None
         if len(lattice) != dim:
             problems.append("system.lattice: needs one period per coordinate")
@@ -271,7 +277,7 @@ def _build_system(sysc, problems):
                 try:
                     kwargs[key] = _as_float(sysc[key])
                 except ValueError:
-                    problems.append(f"system.{key}: not a number")
+                    problems.append(f"system.{key}: not a finite number")
         try:
             return BUILTINS[name](**kwargs)
         except TypeError as exc:
@@ -302,20 +308,24 @@ _TASK_CONVERTERS = {
     "radii": _as_list,
 }
 
-_ORBIT_SEARCH_KEYS = ("seed_x", "seed_v", "t_guess", "tolerance", "nodes", "modes",
-                      "contractible")
-# command: (the [task] keys it requires, the optional ones it reads)
+# the optional keys of the point-seed orbit search
+_ORBIT_SEARCH_KEYS = {"seed_x": None, "seed_v": None, "t_guess": None, "tolerance": 1e-12,
+                      "nodes": 512, "modes": 32, "contractible": True}
+# command: (the [task] keys it requires, {optional key it reads: its default}),
+# where a default of None is derived from the system by the run
 COMMAND_KEYS = {
-    "integrate": (("k",), ("seed_x", "seed_v", "t_end", "tolerance", "samples")),
-    "curvature": (("k",), ("samples", "seed")),
-    "scan-k0": (("k_grid",), ("sample_budget", "seed")),
-    "theorem-b": (("k0",), ("k_steps", "grid")),
+    "integrate": (("k",), {"seed_x": None, "seed_v": None, "t_end": 4.0 * math.pi,
+                           "tolerance": 1e-10, "samples": 513}),
+    "curvature": (("k",), {"samples": 256, "seed": DEFAULT_SEED}),
+    "scan-k0": (("k_grid",), {"sample_budget": 128, "seed": DEFAULT_SEED}),
+    "theorem-b": (("k0",), {"k_steps": 8, "grid": (24, 24)}),
     "find-orbit": (("k",), _ORBIT_SEARCH_KEYS),
     "index": (("k",), _ORBIT_SEARCH_KEYS),
-    "transport": (("k",), ("seed_x", "seed_v", "t_end", "tolerance", "v0")),
+    "transport": (("k",), {"seed_x": None, "seed_v": None, "t_end": 2.0 * math.pi,
+                           "tolerance": 1e-10, "v0": None}),
     "bonnet-myers": (("k_grid",), _ORBIT_SEARCH_KEYS),
-    "mane-bound": (("radii",), ("center", "samples", "seed")),
-    "report": (("k",), _ORBIT_SEARCH_KEYS + ("seed",)),
+    "mane-bound": (("radii",), {"center": None, "samples": 2048, "seed": DEFAULT_SEED}),
+    "report": (("k",), {**_ORBIT_SEARCH_KEYS, "seed": DEFAULT_SEED}),
 }
 
 _POSITIVE_KEYS = ("k", "k0", "t_end", "t_guess", "tolerance", "nodes", "modes",
@@ -338,7 +348,7 @@ def _build_task(taskc, problems):
             continue
         if key not in _TASK_CONVERTERS:
             problems.append(f"task.{key}: unknown key")
-        elif key not in required + optional:
+        elif key not in required and key not in optional:
             problems.append(f"task.{key}: not read by command {command!r}")
         else:
             try:
@@ -346,7 +356,7 @@ def _build_task(taskc, problems):
             except ValueError:
                 problems.append(f"task.{key}: could not parse {raw!r}")
     problems.extend(f"task.{key}: required by command {command!r}"
-                    for key in required if key not in task)
+                    for key in required if key not in taskc)
     for key in _POSITIVE_KEYS:
         if key in task and task[key] <= 0:
             problems.append(f"task.{key}: must be positive")
@@ -354,7 +364,9 @@ def _build_task(taskc, problems):
         grid = task["k_grid"]
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0:
             problems.append("task.k_grid: must be strictly increasing and positive")
-    task.setdefault("seed", DEFAULT_SEED)
+    for key, default in optional.items():
+        if default is not None:
+            task.setdefault(key, default)
     return task
 
 

@@ -34,10 +34,6 @@ class NotCriticalError(MaggeoError):
     """Loop is not a numerical zero of the action form (gate violated)."""
 
 
-class SingularJacobianError(MaggeoError):
-    """Degenerate periodicity system; perturb seed."""
-
-
 class ExpressionError(MaggeoError):
     """Base class for expression parse/eval failures."""
 

@@ -28,7 +28,7 @@ from scipy.integrate import solve_ivp
 
 from . import geom
 from .errors import ChartExitError, StiffTrajectoryError
-from .io import dump_csv, dump_json
+from .io import SCHEMA_VERSION, dump_csv
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 257
@@ -104,9 +104,9 @@ class Orbit:
                 for ti, st, e in zip(self.t, self.states, self.energies)]
         dump_csv(path, header, rows)
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "orbit",
             "period": float(self.period),
             "k": float(self.k),
@@ -116,9 +116,6 @@ class Orbit:
             "n_samples": int(len(self.t)),
             "meta": dict(self.meta),
         }
-        if path:
-            dump_json(path, payload)
-        return payload
 
 
 def dense_states(segments, ts):

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import geom
 from .errors import ActionUndefinedError, FrameError, NotCriticalError
-from .io import dump_csv, dump_json
+from .io import SCHEMA_VERSION, dump_csv
 
 MIN_NODES = 8
 # Scale-aware gate for "loop is a numerical zero of the action form".
@@ -509,9 +509,9 @@ class IndexReport:
     def index(self):
         return self.negative
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "index_report",
             "mode_count": self.mode_count,
             "dim_variation": self.dim_variation,
@@ -521,9 +521,6 @@ class IndexReport:
             "epsilon": float(self.epsilon),
             "eigenvalues": [float(e) for e in self.eigenvalues],
         }
-        if path:
-            dump_json(path, payload)
-        return payload
 
     def spectra_to_csv(self, path):
         dump_csv(path, ["i", "eigenvalue"],
@@ -619,9 +616,9 @@ class ManeReport:
     n_samples: int
     seed: int
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "mane_report",
             "bound": float(self.bound),
             "sup_theta": [float(v) for v in self.sup_theta],
@@ -633,9 +630,9 @@ class ManeReport:
             "n_samples": self.n_samples,
             "seed": self.seed,
         }
-        if path:
-            dump_json(path, payload)
-        return payload
+
+    def to_csv(self, path):
+        dump_csv(path, ["region", "sup_theta"], [[i, s] for i, s in enumerate(self.sup_theta)])
 
 
 def mane_upper_bound(sys, region, n_samples=4096, seed=0):

@@ -15,13 +15,13 @@ the trace of M_k(v, .) on the orthogonal complement of v, which is
 tr M_k - <M_k(v, v), v>_g.  The parts are built once per point and
 direction, so a scan over a k grid is scalar arithmetic per sample.
 Functions that take a point ``x`` also take a ``geom.PointGeometry`` of it;
-``a_omega`` to ``ric_omega_k`` and the surface helpers also take a stack of
-points (with one v, w per point) and return one value per point.
+``a_omega`` to ``ric_omega_k``, ``trace_a_omega``, ``curvature_sample`` and
+the surface helpers also take a stack of points (with one v, w per point)
+and return one value per point.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,9 +30,11 @@ import numpy as np
 
 from . import geom
 from .errors import FrameError
-from .io import dump_csv, dump_json
+from .io import SCHEMA_VERSION, dump_csv
 
 POSITIVITY_GUARD = 1e-12
+# |b| at or below which a grid point of ``theorem_b_scan`` is in the zero set of b
+FIELD_ZERO_TOL = 1e-9
 _UNIT_TOL = 1e-8
 
 
@@ -166,9 +168,10 @@ def trace_a_omega(sys, x, v):
     over an orthonormal completion {v, e_2, ..., e_n}; always >= 0, and
     zero exactly when Om vanishes at x."""
     pg, v, _ = _point(sys, x, v)
-    f = geom.orthonormal_completion(sys, pg, v)[:, 1:]   # columns e_2, ..., e_n
-    gom = pg.g @ pg.omega
-    return float(np.sum((f.T @ gom @ v) ** 2) + 0.25 * np.sum((f.T @ gom @ f) ** 2))
+    f = geom.orthonormal_completion(sys, pg, v)[..., 1:]   # columns e_2, ..., e_n
+    ft_gom = f.swapaxes(-1, -2) @ (pg.g @ pg.omega)
+    return (np.sum((ft_gom @ v[..., None]) ** 2, axis=(-2, -1))
+            + 0.25 * np.sum((ft_gom @ f) ** 2, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,8 @@ def surface_sec(sys, x, v, k):
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """Curvature values at one unit-sphere-bundle point."""
+    """Curvature values at one unit-sphere-bundle point, or one value per
+    point of a stack."""
 
     x: np.ndarray
     v: np.ndarray
@@ -266,7 +270,7 @@ def curvature_sample(sys, x, v, k, w=None):
                            traceA=trace_a_omega(sys, pg, v), w=w, sec=sec)
 
 
-def _sample_box(sys, box):
+def _sample_box(sys, box=None):
     if box is not None:
         return [(float(lo), float(hi)) for lo, hi in box]
     if sys.lattice is not None:
@@ -274,12 +278,12 @@ def _sample_box(sys, box):
     return [(-1.0, 1.0)] * sys.dim
 
 
-def _sample_geometry(sys, n_samples, seed, box, pairs):
+def _sample_geometry(sys, n_samples, seed, pairs):
     """``sample_points_directions`` as arrays: the geometry of the points, one
     stack, and the directions v (and w, else None) as (n_samples, n) arrays."""
     from scipy.stats import qmc   # deferred: scipy.stats is slow to import
 
-    lo, hi = np.array(_sample_box(sys, box)).T
+    lo, hi = np.array(_sample_box(sys)).T
     halton = qmc.Halton(d=sys.dim, seed=seed)
     points = geom.PointGeometry(sys, lo + (hi - lo) * halton.random(n_samples))
     g = points.g
@@ -305,13 +309,13 @@ def _sample_geometry(sys, n_samples, seed, box, pairs):
     return points, vs, ws
 
 
-def sample_points_directions(sys, n_samples, seed, box=None, pairs=False):
+def sample_points_directions(sys, n_samples, seed, pairs=False):
     """Seeded Halton points in the chart box with g-uniform unit directions.
 
     Returns a list of (x, v) or (x, v, w) tuples with v (and w) unit and
     mutually g-orthogonal.
     """
-    points, vs, ws = _sample_geometry(sys, n_samples, seed, box, pairs)
+    points, vs, ws = _sample_geometry(sys, n_samples, seed, pairs)
     return list(zip(points.x, vs, ws) if pairs else zip(points.x, vs))
 
 
@@ -330,9 +334,9 @@ class ScanReport:
     seed: int
     system: str = ""
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "scan_report",
             "system": self.system,
             "k_grid": [float(k) for k in self.k_grid],
@@ -345,9 +349,6 @@ class ScanReport:
             "n_samples": self.n_samples,
             "seed": self.seed,
         }
-        if path:
-            dump_json(path, payload)
-        return json.dumps(payload, sort_keys=True)
 
     def to_csv(self, path):
         header = ["k", "min_sec", "min_ric", "argmin_sec", "argmin_ric"]
@@ -369,7 +370,7 @@ def _positivity_prefix(k_grid, minima):
     return k0
 
 
-def positivity_scan(sys, k_grid, sample_budget, seed, box=None):
+def positivity_scan(sys, k_grid, sample_budget, seed):
     """Estimate min Sec_k over sampled unit orthogonal pairs and min Ric_k
     over sampled unit directions, for each k in the grid.
 
@@ -387,9 +388,9 @@ def positivity_scan(sys, k_grid, sample_budget, seed, box=None):
         raise ValueError("sample budget must be positive")
 
     # the k-free forms of every sample, from one stack each, then arithmetic per k
-    at_pairs, v, w = _sample_geometry(sys, sample_budget, seed, box, pairs=True)
+    at_pairs, v, w = _sample_geometry(sys, sample_budget, seed, pairs=True)
     sec_forms = _sec_forms(at_pairs.g, _parts(at_pairs, v), w)
-    at_dirs, u, _ = _sample_geometry(sys, sample_budget, seed + 10007, box, pairs=False)
+    at_dirs, u, _ = _sample_geometry(sys, sample_budget, seed + 10007, pairs=False)
     ric_forms = _ric_forms(at_dirs.g, _parts(at_dirs, u), u)
 
     min_sec, min_ric, arg_sec, arg_ric = [], [], [], []
@@ -422,9 +423,9 @@ class TheoremBReport:
     grid_shape: tuple
     system: str = ""
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "theorem_b_report",
             "system": self.system,
             "k_grid": [float(k) for k in self.k_grid],
@@ -436,12 +437,13 @@ class TheoremBReport:
             "dichotomy_warning": self.dichotomy_warning,
             "grid_shape": list(self.grid_shape),
         }
-        if path:
-            dump_json(path, payload)
-        return json.dumps(payload, sort_keys=True)
+
+    def to_csv(self, path):
+        dump_csv(path, ["k", "min_sec", "positive"],
+                 [[k, m, p] for k, m, p in zip(self.k_grid, self.min_sec, self.positive)])
 
 
-def theorem_b_scan(sys, k0, k_steps=8, grid_shape=(24, 24), zero_tol=1e-9, box=None):
+def theorem_b_scan(sys, k0, k_steps=8, grid_shape=(24, 24), box=None):
     """Scan min over directions of the surface curvature on k in (0, k0).
 
     For each grid point the direction minimum is analytic:
@@ -469,7 +471,7 @@ def theorem_b_scan(sys, k0, k_steps=8, grid_shape=(24, 24), zero_tol=1e-9, box=N
         min_sec.append(m)
         positive.append(m > POSITIVITY_GUARD)
 
-    zero = np.abs(b) <= zero_tol
+    zero = np.abs(b) <= FIELD_ZERO_TOL
     zero_set = list(pg.x[zero])
     has_zero = bool(np.any(zero))
     has_nonzero = not bool(np.all(zero))

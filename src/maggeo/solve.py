@@ -42,13 +42,16 @@ import numpy as np
 from . import geom, loop as loop_mod, magcurv
 from .errors import ChartExitError, DegenerateMetricError, StiffTrajectoryError
 from .flow import PhaseState, integrate, integrate_variational
-from .io import dump_csv, dump_json
+from .io import SCHEMA_VERSION, dump_csv
 
 # certification gates
 ENERGY_GATE = 1e-8
 CLOSURE_GATE = 1e-7
 BONNET_MYERS_SLACK = 1e-3
 T_FLOOR = 1e-3
+# random unit normals per node, beyond the completion of v, over which
+# ``orbit_curvature_extrema`` takes the sectional minimum when dim > 2
+SEC_DIRECTIONS = 16
 
 # nodes of a Fourier collocation solve (each Newton step is a dense
 # least-squares solve of size N n + 1, whose cost grows as N^3)
@@ -96,9 +99,9 @@ class OrbitRecord:
     def contractible(self):
         return bool(np.all(self.winding == 0))
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "orbit_record",
             "k": float(self.k),
             "period": float(self.period),
@@ -114,9 +117,6 @@ class OrbitRecord:
             "checks": self.checks,
             "method": self.method,
         }
-        if path:
-            dump_json(path, payload)
-        return payload
 
 
 @dataclass
@@ -129,9 +129,9 @@ class SearchFailure:
     period_trace: list = field(default_factory=list)
     detail: str = ""
 
-    def to_json(self, path=None):
-        payload = {
-            "schema_version": 1,
+    def to_json(self):
+        return {
+            "schema_version": SCHEMA_VERSION,
             "kind": "search_failure",
             "reason": self.reason,
             "residual": float(self.residual),
@@ -140,9 +140,6 @@ class SearchFailure:
             "detail": self.detail,
             "note": "not found; nonexistence is never concluded from a failed search",
         }
-        if path:
-            dump_json(path, payload)
-        return payload
 
 
 def _unit_velocity(g, v):
@@ -396,7 +393,7 @@ def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count, compute_index):
     return record
 
 
-def orbit_curvature_extrema(sys, record, directions=16):
+def orbit_curvature_extrema(sys, record):
     """Min of Ric_k and Sec_k along the orbit (direction = unit velocity;
     the sectional minimum additionally scans unit normals for dim > 2)."""
     lp = record.loop
@@ -409,7 +406,7 @@ def orbit_curvature_extrema(sys, record, directions=16):
     # random combinations of it, drawn node after node
     normals = geom.orthonormal_completion(sys, pg, v)[..., 1:]
     if sys.dim > 2:
-        z = np.random.default_rng(0).standard_normal((len(v), directions, sys.dim - 1))
+        z = np.random.default_rng(0).standard_normal((len(v), SEC_DIRECTIONS, sys.dim - 1))
         z /= np.linalg.norm(z, axis=-1, keepdims=True)
         normals = np.concatenate([normals, normals @ z.swapaxes(-1, -2)], axis=-1)
     min_sec = min(np.min(magcurv.sec_omega_k(sys, pg, v, normals[..., j], k))
@@ -417,7 +414,7 @@ def orbit_curvature_extrema(sys, record, directions=16):
     return float(min_ric), float(min_sec)
 
 
-def certify(sys, record, bm_slack=BONNET_MYERS_SLACK):
+def certify(sys, record):
     """Evaluate residual gates and the curvature-based consequences.
 
     Checks: (a) the period bound T <= r pi (index + 1) with 1/r^2 the
@@ -436,7 +433,7 @@ def certify(sys, record, bm_slack=BONNET_MYERS_SLACK):
 
     if record.index_report is not None and min_ric > 0:
         r = 1.0 / np.sqrt(min_ric)
-        bound = r * np.pi * (record.index + 1) * (1.0 + bm_slack)
+        bound = r * np.pi * (record.index + 1) * (1.0 + BONNET_MYERS_SLACK)
         checks["bonnet_myers_ok"] = bool(record.period <= bound)
         checks["bonnet_myers_margin"] = float(bound - record.period)
         checks["bonnet_myers_bound"] = float(r * np.pi * (record.index + 1))

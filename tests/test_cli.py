@@ -1,11 +1,14 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maggeo import cli, solve
-from maggeo.config import COMMAND_KEYS, load_config, parse_config, serialize_config
+from maggeo.config import (_TASK_CONVERTERS, COMMAND_KEYS, load_config, parse_config,
+                           serialize_config)
 from maggeo.errors import ConfigError
 
 TORUS_FIND_ORBIT = """
@@ -99,10 +102,52 @@ TASK_VALUES = {
 }
 
 
+# a small run of every command: [system] and [task] lines
+COMMAND_RUNS = {
+    "integrate": ("builtin = sine_field_torus", "k = 0.3\nt_end = 3\nsamples = 65"),
+    "curvature": ("builtin = sine_field_torus", "k = 0.5\nsamples = 16"),
+    "scan-k0": ("builtin = sine_field_torus", "k_grid = 0.25, 0.5\nsample_budget = 16"),
+    "theorem-b": ("builtin = sine_field_torus", "k0 = 1\nk_steps = 2\ngrid = 6, 6"),
+    "find-orbit": ("builtin = flat_torus", "k = 0.5\nnodes = 64\nmodes = 8"),
+    "index": ("builtin = flat_torus", "k = 0.5\nnodes = 64\nmodes = 8"),
+    "transport": ("builtin = flat_torus", "k = 0.5\nv0 = 0.3, 0.5"),
+    "bonnet-myers": ("builtin = sine_field_torus",
+                     "k_grid = 0.1, 0.25, 0.5\nnodes = 64\nmodes = 8"),
+    "mane-bound": ("builtin = hyperbolic_chart", "radii = 1, 2\nsamples = 256"),
+    "report": ("builtin = flat_torus", "k = 0.5\nnodes = 64\nmodes = 8"),
+}
+
+
+def run_command(tmp_path, command):
+    """Run ``command``'s small config through ``cli.main``; (status, output dir)."""
+    system, task = COMMAND_RUNS[command]
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[system]\n{system}\n\n[task]\ncommand = {command}\n{task}\n\n"
+                    f"[output]\ndir = {out}\n")
+    return cli.main(["--config", str(path)]), out
+
+
 def task_config(command, keys, out):
     lines = [f"command = {command}"] + [f"{key} = {TASK_VALUES[key]}" for key in keys]
     return ("[system]\nbuiltin = flat_torus\n\n[task]\n" + "\n".join(lines)
             + f"\n\n[output]\ndir = {out}\n")
+
+
+def readme_command_table():
+    """The README's CLI table: {command: (required keys, {optional key: its
+    default as written, or None where the table says "derived"})}."""
+    table = {}
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if not line.startswith("| `"):
+            continue
+        command, required, optional = line.strip("| ").split(" | ")
+        defaults = {}
+        for entry, derived in re.findall(r"`([^`]+)`( \(derived\))?", optional):
+            key, _, raw = entry.partition(" = ")
+            defaults[key] = None if derived else raw
+        table[command.strip("`")] = (tuple(re.findall(r"`([^`]+)`", required)), defaults)
+    return table
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -171,10 +216,10 @@ dir = {out_dir}
         required, optional = COMMAND_KEYS[command]
         foreign = sorted(set(TASK_VALUES) - set(required) - set(optional))
         others = {key for cmd, keys in COMMAND_KEYS.items() if cmd != command
-                  for key in keys[0] + keys[1]}
+                  for key in (*keys[0], *keys[1])}
         assert foreign and set(foreign) <= others
         out = tmp_path / "out"
-        assert parse_config(task_config(command, required + optional, out)).command == command
+        assert parse_config(task_config(command, (*required, *optional), out)).command == command
         with pytest.raises(ConfigError) as err:
             parse_config(task_config(command, required + tuple(foreign), out))
         assert err.value.problems == [f"task.{key}: not read by command {command!r}"
@@ -183,6 +228,20 @@ dir = {out_dir}
         path.write_text(task_config(command, required + tuple(foreign), out))
         assert cli.main(["--config", str(path)]) == 2
         assert not out.exists()
+
+    def test_readme_table_is_the_command_table(self):
+        table = readme_command_table()
+        assert set(table) == set(COMMAND_KEYS) == set(cli._DISPATCH) == set(COMMAND_RUNS)
+        for command, (required, optional) in COMMAND_KEYS.items():
+            assert table[command][0] == required
+            written = table[command][1]
+            assert list(written) == list(optional)
+            for key, default in optional.items():
+                if default is None:
+                    assert written[key] is None, (command, key)
+                    continue
+                value = _TASK_CONVERTERS[key](written[key])
+                assert (tuple(value) if isinstance(default, tuple) else value) == default
 
     @pytest.mark.parametrize("base, lines", [
         (TORUS_FIND_ORBIT, ["dimension = 3", "derivatives = fd", "g11 = 5"]),
@@ -196,6 +255,42 @@ dir = {out_dir}
         assert err.value.problems == [f"system.{key}: unknown key" for key in keys]
         assert cli.main(["--config", write_config(tmp_path, text)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("system, task, problem", [
+        ("builtin = sine_field_torus", "command = integrate\nk = nan",
+         "task.k: could not parse 'nan'"),
+        ("builtin = sine_field_torus", "command = integrate\nk = 1e400",
+         "task.k: could not parse '1e400'"),
+        ("builtin = sine_field_torus", "command = integrate\nk = 0.5\nseed_x = inf, 0",
+         "task.seed_x: could not parse 'inf, 0'"),
+        ("builtin = sine_field_torus", "command = curvature\nk = 0.5\nseed = inf",
+         "task.seed: could not parse 'inf'"),
+        ("builtin = sine_field_torus", "command = find-orbit\nk = 0.5\nnodes = -inf",
+         "task.nodes: could not parse '-inf'"),
+        ("builtin = sine_field_torus", "command = scan-k0\nk_grid = 0.1, nan",
+         "task.k_grid: could not parse '0.1, nan'"),
+        ("builtin = sine_field_torus\nbase = nan", "command = scan-k0\nk_grid = 0.1, 0.5",
+         "system.base: not a finite number"),
+        ("builtin = flat_torus\nb = -inf", "command = curvature\nk = 0.5",
+         "system.b: not a finite number"),
+        ("dimension = 2\ng11 = 1\ng22 = 1\nderivatives = fd\nfd_step = inf",
+         "command = curvature\nk = 0.5", "system.fd_step: not a finite number"),
+        ("dimension = 2\ng11 = 1\ng22 = 1\nlattice = 6.283185307179586, nan",
+         "command = curvature\nk = 0.5", "system.lattice: not a list of finite numbers"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, system, task, problem):
+        """nan and inf, also from an overflowing literal, are schema problems
+        (exit 2, no outputs) naming the key, not runtime failures."""
+        out = tmp_path / "out"
+        text = f"[system]\n{system}\n\n[task]\n{task}\n\n[output]\ndir = {out}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [problem]
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli.main(["--config", str(path)]) == 2
+        assert f"config error: {problem}\n" == capsys.readouterr().err
+        assert not out.exists()
 
     def test_fd_step_read_with_fd_derivatives(self):
         text = EXPRESSION_SYSTEM.replace("[system]\n", "[system]\nderivatives = fd\nfd_step = 1e-4\n")
@@ -286,6 +381,45 @@ class TestCommands:
         assert (tmp_path / "out" / "curvature.csv").read_bytes() == first
         assert (tmp_path / "out" / "curvature.json").read_bytes() == first_json
 
+    @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+    def test_every_command_writes_the_same_bytes_twice(self, tmp_path, command):
+        outputs = []
+        for _ in range(2):
+            status, out = run_command(tmp_path, command)
+            outputs.append((status, {path.name: path.read_bytes()
+                                     for path in sorted(out.iterdir())}))
+        assert outputs[0][1] and outputs[0] == outputs[1]
+
+    def test_integrate_command(self, tmp_path):
+        status, out = run_command(tmp_path, "integrate")
+        assert status == 0
+        payload = json.loads((out / "orbit.json").read_text())
+        assert payload["kind"] == "orbit" and payload["n_samples"] == 65
+        assert payload["energy_drift"] < 1e-8
+        rows = (out / "orbit.csv").read_text().splitlines()
+        assert rows[0] == "t,x1,x2,v1,v2,E" and len(rows) == 66
+
+    def test_index_command(self, tmp_path):
+        status, out = run_command(tmp_path, "index")
+        assert status == 0
+        payload = json.loads((out / "index_report.json").read_text())
+        assert payload["kind"] == "index_report"
+        assert payload["negative"] == 1 and payload["mode_count"] == 8
+        rows = (out / "index_report.csv").read_text().splitlines()
+        assert len(rows) == len(payload["eigenvalues"]) + 1
+
+    def test_bonnet_myers_sweep(self, tmp_path):
+        status, out = run_command(tmp_path, "bonnet-myers")
+        assert status == 0
+        payload = json.loads((out / "bonnet_myers.json").read_text())
+        assert payload["k_grid"] == [0.1, 0.25, 0.5]
+        assert [r["k"] for r in payload["records"]] == payload["k_grid"]
+        for record in payload["records"]:
+            assert record["kind"] == "orbit_record" and record["certified"] is True
+            assert record["checks"]["bonnet_myers_ok"] is True
+        rows = (out / "bonnet_myers.csv").read_text().splitlines()
+        assert len(rows) == 4
+
     def test_seed_override_changes_samples(self, tmp_path):
         path = write_config(tmp_path, SPHERE_CURVATURE)
         cli.main(["--config", path])
@@ -294,7 +428,7 @@ class TestCommands:
         assert (tmp_path / "out" / "curvature.csv").read_bytes() != base
 
     @pytest.mark.parametrize("command", sorted(cmd for cmd, keys in COMMAND_KEYS.items()
-                                               if "seed" not in keys[0] + keys[1]))
+                                               if "seed" not in (*keys[0], *keys[1])))
     def test_seed_override_rejected_where_unread(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         path = tmp_path / "run.cfg"

@@ -278,7 +278,7 @@ class TestMorseIndex:
 
     def test_report_serialization(self, torus, torus_loop, tmp_path):
         report = loop_mod.morse_index(torus, torus_loop, K, mode_count=8)
-        payload = report.to_json(tmp_path / "idx.json")
+        payload = report.to_json()
         assert payload["negative"] == 1
         report.spectra_to_csv(tmp_path / "spectra.csv")
         assert (tmp_path / "spectra.csv").read_text().startswith("i,eigenvalue")
