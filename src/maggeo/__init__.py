@@ -63,8 +63,8 @@ from .solve import (  # noqa: F401
     SearchFailure,
     certify,
     continue_in_k,
+    find_orbit,
     gradient_search,
-    shoot,
 )
 from .systems import (  # noqa: F401
     flat_torus,

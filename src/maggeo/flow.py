@@ -9,14 +9,14 @@ Transport solves  DV/dt = Omega_tilde(V)  along a stored orbit, where
 Omega_tilde mixes the Lorentz operator through the g-orthogonal splitting
 along the velocity; the induced end map is g-orthogonal.
 
-Every integration goes through one DOP853 call, ``_solve``.  The flow and
-its variational equation share one chart-exit loop, ``_drive``, which
-applies a swap map to the state at each exit; transport follows the
-orbit's stored segments instead, at the orbit's tolerance.  A step of the
-flow or of its variational equation evaluates its point in one checked
-pass (``geom._point_acceleration``, ``geom._point_acceleration_and_jacobian``)
-and builds no ``PointGeometry``; each integration builds one, for the stack
-of its samples or of its two ends.
+Every integration goes through one DOP853 call, ``_solve``.  The flow runs
+through one chart-exit loop, ``_drive``, which applies the chart transition
+to the state at each exit; transport follows the orbit's stored segments
+instead, at the orbit's tolerance.  A flow step evaluates its point in one
+checked pass (``geom._point_acceleration``) and builds no
+``PointGeometry``; each integration builds one, for the stack of its
+samples.  A transport step reads the fields of its point from the same
+pass (``geom._point_geometry``).
 """
 
 from __future__ import annotations
@@ -133,22 +133,24 @@ def dense_states(segments, ts):
     return states, swaps
 
 
-def _solve(rhs, t_span, y0, tolerance, dense_output, events=None):
-    """The embedded Runge-Kutta pair of order 8(5,3) at rtol = atol = tolerance."""
+def _solve(rhs, t_span, y0, tolerance, events=None):
+    """The embedded Runge-Kutta pair of order 8(5,3) at rtol = atol = tolerance,
+    with dense output."""
     sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tolerance, atol=tolerance,
-                    dense_output=dense_output, events=events)
+                    dense_output=True, events=events)
     if sol.status == -1:
         raise StiffTrajectoryError(f"stiff or singular trajectory: {sol.message}")
     return sol
 
 
-def _drive(sys, rhs, y0, t_end, tolerance, swap, dense_output):
-    """Integrate y' = rhs(t, y) from y(0) = y0 to t_end, replacing y by
-    swap(y) each time the point leaves the chart's safe radius; a system
-    without a chart transition raises ``ChartExitError`` there instead.
+def _drive(sys, y0, t_end, tolerance):
+    """Integrate the flow from the state y0 = (x, v) to t_end, replacing the
+    state by its chart transition each time the point leaves the chart's
+    safe radius; a system without a chart transition raises
+    ``ChartExitError`` there instead.
 
-    Returns the end state, the dense ``_Segment``s (none without dense
-    output), the number of swaps and the number of RHS evaluations.
+    Returns the dense ``_Segment``s, the number of swaps and the number of
+    RHS evaluations.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -172,17 +174,17 @@ def _drive(sys, rhs, y0, t_end, tolerance, swap, dense_output):
     t_cur = 0.0
     y_cur = y0
     while True:
-        sol = _solve(rhs, (t_cur, t_end), y_cur, tolerance, dense_output, events)
+        sol = _solve(lambda t, y: _vector_field(sys, y), (t_cur, t_end), y_cur, tolerance,
+                     events)
         nfev += sol.nfev
-        if dense_output and sol.t[-1] > sol.t[0]:
+        if sol.t[-1] > sol.t[0]:
             segments.append(_Segment(sol.t[0], sol.t[-1], sol.sol, swaps))
         t_cur = float(sol.t[-1])
-        y_cur = sol.y[:, -1].copy()
         if sol.status != 1:  # no chart exit: t_end reached
-            return y_cur, segments, swaps, nfev
+            return segments, swaps, nfev
         if sys.transition is None:
             raise ChartExitError(f"left chart domain at t={t_cur}")
-        y_cur = swap(y_cur)
+        y_cur = _transition(sys, sol.y[:, -1])
         swaps += 1
 
 
@@ -196,9 +198,7 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
     """
     n = sys.dim
     state0 = _start_state(sys, state0)
-    _, segments, swaps, nfev = _drive(
-        sys, lambda t, y: _vector_field(sys, y), np.concatenate([state0.x, state0.v]),
-        t_end, tolerance, partial(_transition, sys), dense_output=True)
+    segments, swaps, nfev = _drive(sys, np.concatenate([state0.x, state0.v]), t_end, tolerance)
     e0 = energy(sys, state0)
 
     ts = np.linspace(0.0, t_end, samples)
@@ -233,62 +233,6 @@ def integrate(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE, samples=DEFAULT_S
                  segments=segments)
 
 
-@dataclass(frozen=True)
-class Monodromy:
-    """End of a flow integration together with its linearization."""
-
-    y: np.ndarray       # end state (x, v), in the chart of the start state
-    phi: np.ndarray     # (2n, 2n) derivative of the end state by the start state
-    rhs: np.ndarray     # the vector field (dx/dt, dv/dt) at the end state
-    nfev: int
-    chart_swaps: int
-
-
-def integrate_variational(sys, state0, t_end, tolerance=DEFAULT_TOLERANCE):
-    """Integrate the flow together with its monodromy matrix Phi.
-
-    Solves y' = f(y), Phi' = A Phi, Phi(0) = I for y = (x, v) with the
-    scheme of ``integrate`` and no dense output, where A = [[0, I],
-    [J_x, J_v]] is the derivative of f (``geom.acceleration_and_jacobian``).
-    At a chart swap the state goes through the transition and Phi through
-    its tangent map plus the saltation term of the moving swap time, which
-    vanishes when the transition carries the flow of one chart onto the
-    flow of the other.  After an odd number of swaps the end state, Phi and
-    the vector field are mapped back into the start chart.
-    """
-    n = sys.dim
-    m = 2 * n
-    state0 = _start_state(sys, state0)
-
-    def rhs(t, y):
-        v, phi = y[n:m], y[m:].reshape(m, m)
-        a, jx, jv = geom._point_acceleration_and_jacobian(sys, y[:n], v)
-        return np.concatenate([v, a, phi[n:].ravel(), (jx @ phi[:n] + jv @ phi[n:]).ravel()])
-
-    def swap(y):
-        y_old, phi = y[:m], y[m:].reshape(m, m)
-        y_new, tangent = _transition_tangent(sys, y_old)
-        # the swap time moves with the start state; this saltation term is
-        # zero when the transition carries one chart's flow onto the other's
-        f_old, f_new = _vector_field(sys, y_old), _vector_field(sys, y_new)
-        grad = np.concatenate([2.0 * y_old[:n], np.zeros(n)])  # of the exit event
-        jump = np.outer(f_new - tangent @ f_old, grad) / float(grad @ f_old)
-        return np.concatenate([y_new, ((tangent + jump) @ phi).ravel()])
-
-    y_cur, _, swaps, nfev = _drive(
-        sys, rhs, np.concatenate([state0.x, state0.v, np.eye(m).ravel()]),
-        t_end, tolerance, swap, dense_output=False)
-    y_end = y_cur[:m]
-    geom.PointGeometry(sys, np.stack([state0.x, y_end[:n]])).ginv   # SPD check of g at both ends
-    # Phi and f(y_end) as the columns of one matrix, for the map back below
-    cols = np.column_stack([y_cur[m:].reshape(m, m), _vector_field(sys, y_end)])
-    if swaps % 2 == 1:
-        y_end, tangent = _transition_tangent(sys, y_end)
-        cols = tangent @ cols
-    return Monodromy(y=y_end, phi=cols[:, :m], rhs=cols[:, m], nfev=nfev,
-                     chart_swaps=swaps)
-
-
 def _start_state(sys, state0):
     """state0 as a PhaseState, whose x and v must each have shape (n,): the
     RHS of a flow step reads the state by slicing it at n."""
@@ -310,13 +254,6 @@ def _transition(sys, y):
     """The chart transition of the state y = (x, v)."""
     n = sys.dim
     return np.concatenate(sys.transition(y[:n], y[n:]))
-
-
-def _transition_tangent(sys, y):
-    """The chart transition of the state y = (x, v), and its tangent map
-    by central differences."""
-    transition = partial(_transition, sys)
-    return transition(y), geom._fd_jacobian(transition, y, 1e-6 * np.maximum(1.0, np.abs(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +297,14 @@ def magnetic_transport(sys, orbit, V0):
 
     def rhs(t, V, seg):
         y = seg.sol(np.clip(t, seg.t0, seg.t1))
-        return geom.transport_rate(geom.PointGeometry(sys, y[:n]), y[n:], V)
+        return geom.transport_rate(geom._point_geometry(sys, y[:n]), y[n:], V)
 
     segments = []
     v_cur = np.asarray(V0, dtype=float).copy()
     for prev, seg in zip([None] + orbit.segments, orbit.segments):
         if prev is not None and seg.swaps != prev.swaps:
             _, v_cur = sys.transition(prev.sol(prev.t1)[:n], v_cur)
-        sol = _solve(partial(rhs, seg=seg), (seg.t0, seg.t1), v_cur, tol, dense_output=True)
+        sol = _solve(partial(rhs, seg=seg), (seg.t0, seg.t1), v_cur, tol)
         segments.append(_Segment(seg.t0, seg.t1, sol.sol, seg.swaps))
         v_cur = sol.y[:, -1].copy()
     values, _ = dense_states(segments, orbit.t)

@@ -37,16 +37,16 @@ of vectors one point, and those of the magnetic geodesic equation a
 The equation reads only the fields and solves with g, forming no g^{-1} of
 the ``PointGeometry``: at a single point by one LAPACK Cholesky solve, which
 rejects a g that is not positive-definite; on a stack by LU, which rejects
-only a singular g.  ``PointGeometry`` is the stack API.  A flow step
-evaluates its single point in one checked pass instead,
-``ChartedSystem.point_fields`` (and ``d2metric_at``, ``dtwo_form_at`` for
-the variational step): one call of each callback, each value's shape, exact
-(anti)symmetry or finite sum tested directly, and the checked ``*_at``
-method called only for a value that fails, to raise its named error; the
-step's acceleration (``_point_acceleration``) equals ``acceleration`` of the
-point's ``PointGeometry`` bit for bit.  The flow factorises a stack once per
-integration: its sampled points (``flow.integrate``) or its two ends
-(``flow.integrate_variational``).  ``PointGeometry.frame`` is the
+only a singular g.  ``PointGeometry`` is the stack API.  A flow or transport
+step evaluates its single point in one checked pass instead,
+``ChartedSystem.point_fields``: one call of each callback, each value's
+shape, exact (anti)symmetry or finite sum tested directly, and the checked
+``*_at`` method called only for a value that fails, to raise its named
+error; the step's acceleration (``_point_acceleration``) equals
+``acceleration`` of the point's ``PointGeometry`` bit for bit, and a
+transport step reads a ``PointGeometry`` whose fields come from that pass
+(``_point_geometry``).  The flow factorises a stack once per integration,
+its sampled points (``flow.integrate``).  ``PointGeometry.frame`` is the
 g-orthonormal frame L^{-T} of the stack's Cholesky factor g = L L^T, and
 ``orthonormal_completion`` completes unit vectors at every point of a stack.
 ``ChartedSystem`` values are immutable.
@@ -572,21 +572,25 @@ def acceleration(pg, v):
 
 def acceleration_and_jacobian(pg, v):
     """(a, J_x, J_v): ``acceleration(pg, v)`` and its derivatives by the point
-    and by v, from one inversion of g (``_jacobian``)."""
-    return _jacobian(_metric_solve(pg), pg.dg, pg.sigma, pg.d2g, pg.dsigma, v)
-
-
-def _jacobian(ginv, dg, sigma, d2g, dsigma, v):
-    """(a, J_x, J_v) from g^{-1} and the fields:
+    and by v, from one inversion of g:
     J_x[:, m] = g^{-1}(d_m sigma v - d_m Gamma_flat(v, v) - d_m g a),
     J_v = g^{-1}(sigma - 2 Gamma_flat(v, .)).  d_m Gamma_flat(v, v) is d2g
     against v twice; the derivative index of d2g stays last."""
+    ginv, dg, sigma, d2g = _metric_solve(pg), pg.dg, pg.sigma, pg.d2g
     conn = _lowered_connection(dg, v)
     a = (ginv @ ((sigma - conn) @ v[..., None]))[..., 0]
     w = _along_first(v, d2g)   # w[l, i, m] = v^j d_i d_m g_jl
     dconn = (v[..., None, None, :] @ w)[..., 0, :] - 0.5 * _along_first(v, w)
-    dforce = (v[..., None, None, :] @ dsigma - a[..., None, None, :] @ dg)[..., 0, :]
+    dforce = (v[..., None, None, :] @ pg.dsigma - a[..., None, None, :] @ dg)[..., 0, :]
     return a, ginv @ (dforce - dconn), ginv @ (sigma - 2.0 * conn)
+
+
+def _point_geometry(sys, x):
+    """The ``PointGeometry`` of the single point x with g, dg and sigma from
+    one checked pass of ``sys.point_fields``: a transport step."""
+    pg = PointGeometry(sys, x)
+    pg.g, pg.dg, pg.sigma = sys.point_fields(x)
+    return pg
 
 
 def _point_acceleration(sys, x, v):
@@ -594,19 +598,6 @@ def _point_acceleration(sys, x, v):
     for bit, from one checked pass of ``sys.point_fields``: the flow step."""
     g, dg, sigma = sys.point_fields(x)
     return _point_solve(g, _force(dg, sigma, v), x)
-
-
-def _point_acceleration_and_jacobian(sys, x, v):
-    """``acceleration_and_jacobian(PointGeometry(sys, x), v)`` at the single
-    point x, bit for bit, from one checked pass: the variational flow step."""
-    g, dg, sigma = sys.point_fields(x)
-    return _jacobian(_point_solve(g, np.eye(len(g)), x), dg, sigma,
-                     sys.d2metric_at(x), sys.dtwo_form_at(x), v)
-
-
-def acceleration_jacobian(pg, v):
-    """(J_x, J_v) of ``acceleration_and_jacobian``."""
-    return acceleration_and_jacobian(pg, v)[1:]
 
 
 def transport_rate(pg, v, V):

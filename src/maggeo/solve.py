@@ -1,35 +1,32 @@
 """Closed-orbit search at fixed energy, continuation in energy, and
 certification of the curvature-based period and index bounds.
 
-Two correctors find closed orbits.  Fourier collocation (``_solve_closing``)
-starts from a loop.  It resamples the loop to ``COLLOCATION_NODES`` nodes
-and solves its discretized closing conditions (eta = 0) with a damped
-least-squares Newton step (``_damped_newton``) on their exact Jacobian: the
-Fourier differentiation matrix (Trefethen, Spectral Methods in MATLAB) plus
-pointwise blocks from the acceleration's derivatives at the nodes.  It
-stops at roundoff, when the residual falls below a floor scaled by the
-seed's s-acceleration, and integrates nothing; the eta gate on the solved
-loop decides whether it is solved.
+One corrector finds closed orbits: Fourier collocation (``_solve_closing``).
+It starts from a loop, resamples it to a fixed number of nodes and solves
+its discretized closing conditions (eta = 0) with a damped least-squares
+Newton step (``_damped_newton``) on their exact Jacobian: the Fourier
+differentiation matrix (Trefethen, Spectral Methods in MATLAB, ch. 3) plus
+pointwise blocks from the acceleration's derivatives at the nodes.  A loop
+that winds around the lattice is solved by its lift: the nodes x of
+x(s + 1) = x(s) + drift, with drift = winding * L, whose s-derivative is
+that of the periodic x - s drift plus drift.  The solve stops at roundoff,
+when the residual falls below a floor scaled by the seed's
+s-acceleration, and integrates nothing; the eta gate on the solved loop
+decides whether it is solved.
 
-Shooting (``shoot``) starts from a point seed.  Its system removes the
-time-translation degeneracy with a phase condition <x0 - x_ref, v_ref>_g = 0
-and measures the end velocity's part normal to v0; steps are solved by
-least squares, which also copes with the orbit-cylinder rank deficiency of
-families.  The Newton Jacobian is exact: each residual evaluation
-integrates the flow together with its monodromy matrix (the variational
-equations; Hairer, Norsett & Wanner, Solving ODEs I), so one Newton step
-costs one integration when its full step is accepted.
-
-A point seed collocates first (``find_orbit``): the seed's orbit,
-integrated once over the period guess with its closure gap spread over
-the lift, is the loop of one collocation solve, the standard predictor for
-periodic orbits (Doedel, Keller & Kernevez, Numerical analysis and control
-of bifurcation problems II, 1991).  The descent search (``gradient_search``)
-runs the solve once from a seed loop, and continuation (``continue_in_k``)
-once from the previous orbit's loop.  ``shoot`` corrects winding targets
-and whatever collocation leaves unsolved.  Every corrector ends in
-``_build_record``, which integrates the orbit once from its start state,
-gates its closure and eta before the index, and certifies it.
+Every search ends in ``_collocation_record``.  It solves at
+``COLLOCATION_NODES`` nodes, integrates the solved loop's orbit once from
+its start state and certifies it (``_build_record``: closure and eta are
+gated before the index).  Where the solved loop or its record misses a
+gate, or the Newton solve stopped above roundoff, it solves again at twice
+the nodes, from the loop it just solved, up to ``MAX_COLLOCATION_NODES``.
+The loops come from three places: a point seed (``find_orbit``) integrates
+the seed once and cuts its orbit at the seed's return time, with the
+closure gap spread over the lift, the standard predictor for periodic
+orbits (Doedel, Keller & Kernevez, Numerical analysis and control of
+bifurcation problems II, 1991); the descent search (``gradient_search``)
+starts from a seed loop; continuation (``continue_in_k``) from the
+previous orbit's loop.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import numpy as np
 
 from . import geom, loop as loop_mod, magcurv
 from .errors import ChartExitError, DegenerateMetricError, StiffTrajectoryError
-from .flow import PhaseState, integrate, integrate_variational
+from .flow import PhaseState, dense_states, integrate
 from .io import SCHEMA_VERSION, dump_csv
 
 # certification gates
@@ -53,11 +50,13 @@ T_FLOOR = 1e-3
 # ``orbit_curvature_extrema`` takes the sectional minimum when dim > 2
 SEC_DIRECTIONS = 16
 
-# nodes of a Fourier collocation solve (each Newton step is a dense
-# least-squares solve of size N n + 1, whose cost grows as N^3)
+# nodes of the first Fourier collocation solve, and the most a refinement
+# doubles them to (each Newton step is a dense least-squares solve of size
+# N n + 1, whose cost grows as N^3)
 COLLOCATION_NODES = 32
+MAX_COLLOCATION_NODES = 128
 # Newton iteration caps of a collocation solve: a descent seed may start far
-# from an orbit, a continuation predictor starts next to one
+# from an orbit, a continuation predictor or a refinement next to one
 DESCENT_MAX_ITER = 400
 PREDICTOR_MAX_ITER = 30
 # a collocation solve stops at roundoff: once its residual norm falls below
@@ -66,10 +65,21 @@ PREDICTOR_MAX_ITER = 30
 # terms), where a further step would only move noise (Deuflhard, Newton
 # Methods for Nonlinear Problems, 2004: stop at the attainable accuracy)
 ROUNDOFF_SCALE = 1e3
-# the loop predicted from a point seed: samples of its integrated orbit, at a
-# tolerance that only has to beat the collocation's own correction
+# the loop predicted from a point seed: its orbit is integrated over
+# SEED_SPAN times the period guess at a tolerance that only has to beat the
+# collocation's own correction, sampled RETURN_STEPS times per period guess
+# for the return-time search, and cut into SEED_NODES nodes
+SEED_SPAN = 1.5
+RETURN_STEPS = 128
 SEED_NODES = 64
 SEED_TOLERANCE = 1e-10
+
+_NEWTON_DETAIL = {
+    "stalled": "Newton stalled; orbit not found from this seed",
+    "max_iterations": "Newton iteration cap reached above the eta gate",
+    "singular": "non-finite Newton step; perturb the seed",
+    "eta_gate": "the solved loop misses the eta gate",
+}
 
 
 @dataclass
@@ -89,7 +99,7 @@ class OrbitRecord:
     min_sec: Optional[float] = None
     certified: bool = False
     checks: dict = field(default_factory=dict)
-    method: str = "shoot"
+    method: str = "collocation"
 
     @property
     def index(self):
@@ -121,7 +131,9 @@ class OrbitRecord:
 
 @dataclass
 class SearchFailure:
-    """Non-convergence report; never evidence of nonexistence."""
+    """Non-convergence report; never evidence of nonexistence.  A search that
+    computed no residual (its seed's orbit never became a loop) reports an
+    infinite one, written as null."""
 
     reason: str
     residual: float
@@ -134,17 +146,12 @@ class SearchFailure:
             "schema_version": SCHEMA_VERSION,
             "kind": "search_failure",
             "reason": self.reason,
-            "residual": float(self.residual),
+            "residual": float(self.residual) if np.isfinite(self.residual) else None,
             "iterations": self.iterations,
             "period_trace": [float(t) for t in self.period_trace],
             "detail": self.detail,
             "note": "not found; nonexistence is never concluded from a failed search",
         }
-
-
-def _unit_velocity(g, v):
-    v = np.asarray(v, float)
-    return v / float(np.sqrt(max(float(v @ g @ v), 0.0)))
 
 
 def _seed(sys, k, seed_state):
@@ -160,83 +167,22 @@ def _seed(sys, k, seed_state):
     return PhaseState(x, seed_state.v.copy())
 
 
-def _start(sys, k, v_ref, n, u):
-    """Start state (x0, v0) of the shooting unknowns u = (x0, d, T), with
-    the metric g at x0 and the linear map of a velocity to the coordinates
-    of its part g-normal to v0 in the g-orthonormal frame at x0 whose first
-    leg is along the seed direction (d moves v0 along the other legs)."""
-    x0 = u[:n]
-    pg = geom.PointGeometry(sys, x0)
-    g = pg.g
-    vdir = _unit_velocity(g, v_ref)
-    frame = geom.orthonormal_completion(sys, pg, vdir)
-    v0 = np.sqrt(2.0 * k) * _unit_velocity(g, vdir + frame[:, 1:] @ u[n:2 * n - 1])
-    normal = frame.T @ g @ (np.eye(n) - np.outer(v0, g @ v0) / (2.0 * k))
-    return x0, v0, g, normal
+def _periods(sys):
+    """The lattice period of each coordinate, 0 where it has none."""
+    return np.array([p or 0.0 for p in (sys.lattice or [None] * sys.dim)], dtype=float)
 
 
-def _residual(sys, k, x_ref, v_ref, n, u, tol, winding_target=None):
-    """Periodicity residual F of the shooting unknowns u = (x0, d, T) and
-    its Jacobian, from one integration of the flow with its monodromy
-    matrix Phi.
-
-    F stacks the position gap, the end velocity's part g-normal to v0 (in
-    the orthonormal frame at x0) and the phase condition: 2n + 1 rows for
-    2n unknowns.  The velocity part along v0 is left out: energy
-    conservation fixes it once the position gap closes, and away from
-    closure it only compares coordinate velocities at distant points.  The
-    normal part vanishes only where the end velocity is parallel to v0;
-    the reversed one, -v0, is a root too, which the closure gate of the
-    record rejects.
-    With S(u) = (x0, v0) the start state, y_e = phi_T(S(u)) the end state
-    and f the vector field, dF/du = F_u + F_y (Phi S_u + f(y_e) e_T^T).
-    Neither S nor the closing map F(u, y_e) integrates anything, so S_u and
-    F_u are central differences; F_y is exact.
-    """
-    T = u[-1]
-    if T <= 0:
-        return None, None
-    shift = np.zeros(n)
-    if winding_target is not None and sys.lattice is not None:
-        for i, period in enumerate(sys.lattice):
-            if period:
-                shift[i] = winding_target[i] * period
-
-    def start_and_close(uu, ye):
-        """(S(uu), F(uu, ye)) stacked into one vector."""
-        x0, v0, g, normal = _start(sys, k, v_ref, n, uu)
-        dx = ye[:n] - x0
-        dx = sys.wrap_diff(dx) if winding_target is None else dx - shift
-        phase = float((x0 - x_ref) @ g @ v_ref)
-        return np.concatenate([x0, v0, dx, normal @ ye[n:], [phase]])
-
-    x0, v0, _, normal = _start(sys, k, v_ref, n, u)
-    mono = integrate_variational(sys, PhaseState(x0, v0), T, tolerance=tol)
-    ye = mono.y
-    r = start_and_close(u, ye)[2 * n:]
-    d_u = geom._fd_jacobian(lambda uu: start_and_close(uu, ye), u,
-                            1e-6 * np.maximum(1.0, np.abs(u)))
-    dye = mono.phi @ d_u[:2 * n]
-    dye[:, -1] += mono.rhs
-    f_y = np.zeros((2 * n + 1, 2 * n))
-    f_y[:n, :n] = np.eye(n)
-    f_y[n:2 * n, n:] = normal
-    return r, d_u[2 * n:] + f_y @ dye
-
-
-def _damped_newton(residual, jacobian, u, r, residual_target, max_iter, floor=-np.inf):
+def _damped_newton(residual, jacobian, u, r, residual_target, max_iter):
     """Damped least-squares Newton iteration on residual(u) = 0 from u, where
     the residual is r.
 
     Each step solves jacobian(u) step = -r by least squares, caps its length
     at 2 max(1, |u|) and backtracks from the full step down to 1/16 until the
-    residual norm drops.  Trials with u[-1] <= floor are skipped, and
-    ``residual`` returns None where a trial is outside its domain.
-    ``jacobian`` is only asked at the current iterate, which is always the
-    point ``residual`` evaluated last.  Returns (u, |r|, iterations, path,
-    stop): path holds u[-1] at the start and after each iteration; stop is
-    None once |r| < residual_target, else "stalled", "max_iterations" or
-    "singular" (a non-finite step).
+    residual norm drops.  ``jacobian`` is only asked at the current iterate,
+    which is always the point ``residual`` evaluated last.  Returns (u, |r|,
+    iterations, path, stop): path holds u[-1] at the start and after each
+    iteration; stop is None once |r| < residual_target, else "stalled",
+    "max_iterations" or "singular" (a non-finite step).
     """
     path = [float(u[-1])]
     res_norm = float(np.linalg.norm(r))
@@ -254,10 +200,8 @@ def _damped_newton(residual, jacobian, u, r, residual_target, max_iter, floor=-n
         improved = False
         for damp in (1.0, 0.5, 0.25, 0.125, 0.0625):
             u_try = u + damp * step
-            if u_try[-1] <= floor:
-                continue
             r_try = residual(u_try)
-            if r_try is not None and np.linalg.norm(r_try) < res_norm:
+            if np.linalg.norm(r_try) < res_norm:
                 u, r, res_norm = u_try, r_try, float(np.linalg.norm(r_try))
                 improved = True
                 break
@@ -267,112 +211,107 @@ def _damped_newton(residual, jacobian, u, r, residual_target, max_iter, floor=-n
     return u, res_norm, max_iter, path, None if res_norm < residual_target else "max_iterations"
 
 
-def shoot(sys, k, seed_state, T_guess, tol=1e-12, max_iter=30, residual_target=1e-10,
-          n_nodes=512, mode_count=32, compute_index=True, winding_target=None):
-    """Newton shooting for a closed orbit with energy k.
-
-    Each residual evaluation integrates the flow with its monodromy matrix
-    once and returns the exact Newton Jacobian with the residual, so a
-    Newton step whose full step is accepted costs one integration.  Steps
-    are least-squares solves, with backtracking on the residual norm.
-    Returns a certified ``OrbitRecord`` or a ``SearchFailure`` report whose
-    reason is the Newton stop ("stalled", "max_iterations", "singular") or
-    the gate the found orbit misses (see ``_build_record``).  Point seeds of
-    the CLI reach it only through ``find_orbit``, where collocation comes
-    first.
-    """
-    n = sys.dim
-    seed = _seed(sys, k, seed_state)
-    x_ref, v_ref = seed.x, seed.v
-    u = np.concatenate([x_ref, np.zeros(n - 1), [float(T_guess)]])
-    shoot_tol = max(tol, 1e-12)
-    jac = None
-
-    def residual(uu):
-        nonlocal jac
-        r, jac = _residual(sys, k, x_ref, v_ref, n, uu, shoot_tol,
-                           winding_target=winding_target)
-        return r
-
-    r = residual(u)
-    if r is None:
-        raise ValueError("T_guess must be positive")
-    u, res_norm, iterations, history, stop = _damped_newton(
-        residual, lambda _: jac, u, r, residual_target, max_iter, floor=T_FLOOR)
-    if stop is not None:
-        detail = {"singular": "non-finite Newton step; perturb the seed",
-                  "stalled": "Newton stalled; orbit not found from this seed"}
-        return SearchFailure(reason=stop, residual=res_norm, iterations=iterations,
-                             period_trace=history, detail=detail.get(stop, ""))
-
-    x0, v0, _, _ = _start(sys, k, v_ref, n, u)
-    record = _build_record(sys, k, x0, v0, float(u[-1]), tol, n_nodes, mode_count,
-                           compute_index)
-    if isinstance(record, SearchFailure):
-        record.iterations, record.period_trace = iterations, history
-    return record
-
-
 def find_orbit(sys, k, seed_state, T_guess, tol=1e-12, n_nodes=512, mode_count=32,
                winding_target=None):
     """Closed orbit with energy k from a point seed.
 
-    Where the target is contractible (``winding_target`` None or all
-    zeros), the seed is integrated once over ``T_guess``, its closure gap is
-    spread linearly over the lift, and one collocation solve corrects that
-    loop (``_collocation_record``); the record, with method "collocation",
-    is kept when it does not wind.  Otherwise, and where the seed's orbit
-    fails in the flow or swaps charts from both ends of the transition, or
-    the collocation misses a gate, ``shoot`` runs from the same seed.
-    Returns a certified ``OrbitRecord`` or a ``SearchFailure``.
+    The seed is integrated once over ``SEED_SPAN`` T_guess and cut at its
+    return time (``_seed_loop``); the loop's closure gap is spread linearly
+    over the lift, and ``_collocation_record`` corrects it.  The loop winds
+    by ``winding_target`` around the lattice, or, without a target, as the
+    seed's orbit does at its return.  Returns a certified ``OrbitRecord``
+    (method "collocation") or a ``SearchFailure``: "seed_flow" where the
+    seed's orbit fails in the flow (the error named in ``detail``),
+    "chart_swap" where it swaps charts from both ends of the transition,
+    else the failure of the last collocation solve.
     """
-    if T_guess > 0 and (winding_target is None or not np.any(winding_target)):
-        nodes = _seed_nodes(sys, _seed(sys, k, seed_state), T_guess)
-        record = None if nodes is None else _collocation_record(
-            sys, k, nodes, T_guess, tol, n_nodes, mode_count)
-        if record is not None and not np.any(record.winding):
-            return record
-    return shoot(sys, k, seed_state, T_guess, tol=tol, n_nodes=n_nodes,
-                 mode_count=mode_count, winding_target=winding_target)
-
-
-def _seed_nodes(sys, state, T):
-    """Loop nodes predicted from the orbit of state over T: ``SEED_NODES``
-    samples of its lift, less the closure gap x(T) - x(0) in proportion
-    to time.  The orbit is integrated again from the transition image of
-    state where it swaps charts; None where it swaps charts from both, or
-    the flow fails."""
+    if not T_guess > 0:
+        raise ValueError("T_guess must be positive")
+    seed = _seed(sys, k, seed_state)
     try:
-        orbit = integrate(sys, state, T, tolerance=SEED_TOLERANCE, samples=SEED_NODES + 1)
-        if orbit.meta["chart_swaps_total"]:
-            orbit = integrate(sys, PhaseState(*sys.transition(state.x, state.v)), T,
-                              tolerance=SEED_TOLERANCE, samples=SEED_NODES + 1)
-    except (ChartExitError, StiffTrajectoryError, DegenerateMetricError):
-        return None
+        predicted = _seed_loop(sys, seed, T_guess, winding_target)
+    except (ChartExitError, StiffTrajectoryError, DegenerateMetricError) as err:
+        return SearchFailure(reason="seed_flow", residual=float("inf"), iterations=0,
+                             period_trace=[float(T_guess)],
+                             detail=f"the seed's orbit fails in the flow: "
+                                    f"{type(err).__name__}: {err}")
+    if predicted is None:
+        return SearchFailure(reason="chart_swap", residual=float("inf"), iterations=0,
+                             period_trace=[float(T_guess)],
+                             detail="the seed's orbit leaves both charts; "
+                                    "its loop cannot be cut in one chart")
+    return _collocation_record(sys, k, predicted, tol, n_nodes, mode_count)
+
+
+def _seed_loop(sys, state, T_guess, winding_target):
+    """The loop predicted from the orbit of state: ``SEED_NODES`` samples of
+    its lift up to its return time, less the closure gap in proportion to
+    time.
+
+    The return time is the local minimum of the phase-space gap
+    |x(t) - x(0) - drift| + |v(t) - v(0)| in [T_guess / 2, ``SEED_SPAN``
+    T_guess] nearest T_guess, among the minima within one sample step's
+    phase-space motion of the smallest (the sampling cannot tell them
+    apart); T_guess where the gap has no minimum there.  drift is
+    ``winding_target`` times the lattice; without a target the gap is
+    lattice-reduced, and the loop winds as the orbit does at its return.
+    The orbit is integrated again from the transition image of state where
+    it swaps charts; None where it swaps charts from both.
+    """
+    orbit = _one_chart_orbit(sys, state.x, state.v, SEED_SPAN * T_guess, SEED_TOLERANCE,
+                             int(round(SEED_SPAN * RETURN_STEPS)) + 1)
     if orbit.meta["chart_swaps_total"]:
         return None
-    x = orbit.states[:, :sys.dim]
-    s = np.arange(SEED_NODES + 1)[:, None] / SEED_NODES
-    return (x - s * (x[-1] - x[0]))[:-1]
+    n = sys.dim
+    periods = _periods(sys)
+    x, v = orbit.states[:, :n], orbit.states[:, n:]
+    if winding_target is None:
+        dx = sys.wrap_diff(x - x[0])
+    else:
+        dx = x - x[0] - np.asarray(winding_target) * periods
+    gap = np.linalg.norm(dx, axis=1) + np.linalg.norm(v - v[0], axis=1)
+    step = float(np.max(np.linalg.norm(np.diff(x, axis=0), axis=1)
+                        + np.linalg.norm(np.diff(v, axis=0), axis=1)))
+    inner = gap[1:-1]
+    minima = 1 + np.flatnonzero((inner <= gap[:-2]) & (inner < gap[2:])
+                                & (orbit.t[1:-1] >= 0.5 * T_guess))
+    T = T_guess
+    if minima.size:
+        near = minima[gap[minima] <= gap[minima].min() + step]
+        T = float(orbit.t[near[np.argmin(np.abs(orbit.t[near] - T_guess))]])
+    s = np.arange(SEED_NODES + 1) / SEED_NODES
+    lift = dense_states(orbit.segments, T * s)[0][:, :n]
+    if winding_target is None:
+        winding_target = np.round((lift[-1] - lift[0]) / np.where(periods, periods, np.inf))
+    winding = np.asarray(winding_target).astype(int)
+    closing = lift[-1] - lift[0] - winding * periods
+    return loop_mod.DiscreteLoop((lift - s[:, None] * closing)[:-1], T, winding)
 
 
-def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count, compute_index):
+def _one_chart_orbit(sys, x0, v0, T, tolerance, samples):
+    """The orbit of (x0, v0) over T, integrated again from the transition
+    image of (x0, v0) where it swaps charts, since from the other chart it
+    may stay in one; its ``chart_swaps_total`` is nonzero where it swaps
+    charts from both."""
+    orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=tolerance, samples=samples)
+    if orbit.meta["chart_swaps_total"]:
+        orbit = integrate(sys, PhaseState(*sys.transition(x0, v0)), T, tolerance=tolerance,
+                          samples=samples)
+    return orbit
+
+
+def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count):
     """The certified record of the closed orbit with start state (x0, v0) and
     period T, or a ``SearchFailure`` (zero iterations) when the orbit swaps
     charts from both ends of the transition ("chart_swap") or misses the
     closure or eta gate ("closure_gate", "eta_gate"; the index needs a
     critical loop, so these gates come first)."""
-    orbit = integrate(sys, PhaseState(x0, v0), T, tolerance=min(tol, 1e-12),
-                      samples=n_nodes + 1)
+    orbit = _one_chart_orbit(sys, x0, v0, T, min(tol, 1e-12), n_nodes + 1)
     if orbit.meta["chart_swaps_total"]:
-        # the same orbit from the other chart, where it may stay in one chart
-        orbit = integrate(sys, PhaseState(*sys.transition(x0, v0)), T,
-                          tolerance=min(tol, 1e-12), samples=n_nodes + 1)
-        if orbit.meta["chart_swaps_total"]:
-            return SearchFailure(reason="chart_swap", residual=orbit.closure_residual,
-                                 iterations=0,
-                                 detail="the closed orbit leaves both charts; "
-                                        "its loop cannot be resampled in one chart")
+        return SearchFailure(reason="chart_swap", residual=orbit.closure_residual,
+                             iterations=0,
+                             detail="the closed orbit leaves both charts; "
+                                    "its loop cannot be resampled in one chart")
     lp = loop_mod.loop_from_orbit(orbit, n_nodes)
     eta_res = loop_mod.eta_norm(sys, lp, k)
     energy_res = orbit.energy_drift
@@ -382,9 +321,7 @@ def _build_record(sys, k, x0, v0, T, tol, n_nodes, mode_count, compute_index):
             return SearchFailure(reason=reason, residual=value, iterations=0,
                                  detail=f"{reason}: residual {value:.3e} exceeds the "
                                         f"gate {gate:.3e} by {value - gate:.3e}")
-    index_report = None
-    if compute_index:
-        index_report = loop_mod.morse_index(sys, lp, k, mode_count=mode_count)
+    index_report = loop_mod.morse_index(sys, lp, k, mode_count=mode_count)
     record = OrbitRecord(orbit=orbit, loop=lp, k=k, period=T,
                          closure_residual=orbit.closure_residual,
                          energy_residual=energy_res, eta_residual=eta_res,
@@ -452,15 +389,13 @@ def certify(sys, record):
 def continue_in_k(sys, record, k_grid, tol=1e-12, n_nodes=512, mode_count=32):
     """Predictor-corrector continuation of a certified record over a k grid.
 
-    The predictor is the previous orbit's loop with a secant period; the
-    corrector is one Fourier collocation solve (``_collocation_record``),
-    which integrates nothing until the record is built.  The record from
-    which the family starts comes from a point seed (``find_orbit``, which
-    collocates first too).  A loop that winds, or a collocation whose loop
-    or integrated orbit misses a gate, is corrected by ``shoot`` from the
-    previous initial condition with the velocity rescaled onto the new
-    energy level, retried with the kinetic period rescaling.  A fold (both
-    shooting correctors fail) truncates the family.
+    The predictor is the previous orbit's loop, with its winding, and a
+    secant period; the corrector is ``_collocation_record``, which
+    integrates nothing until the record is built.  Where it fails, it is
+    retried from the same loop with the kinetic period rescaling
+    T sqrt(k_prev / k).  The record from which the family starts comes
+    from a point seed (``find_orbit``).  A fold (both corrections fail)
+    truncates the family.
     """
     family = []
     prev = record
@@ -473,20 +408,12 @@ def continue_in_k(sys, record, k_grid, tol=1e-12, n_nodes=512, mode_count=32):
             slope = (np.log(prev.period) - np.log(prev_prev.period)) \
                 / (np.log(prev.k) - np.log(prev_prev.k))
             T_pred = prev.period * (k / prev.k) ** slope
-        result = None
-        if not np.any(prev.loop.winding):
-            result = _collocation_record(sys, k, prev.loop.nodes, T_pred, tol,
-                                         n_nodes, mode_count)
-        if result is None:
-            st0 = prev.orbit.state(0)
-            v_new = st0.v * (np.sqrt(2.0 * k) / sys.norm(st0.x, st0.v))
-            result = shoot(sys, k, PhaseState(st0.x, v_new), T_pred, tol=tol,
-                           n_nodes=n_nodes, mode_count=mode_count)
-            if isinstance(result, SearchFailure):
-                # fall back to the kinetic rescaling predictor
-                T_retry = prev.period * np.sqrt(prev.k / k)
-                result = shoot(sys, k, PhaseState(st0.x, v_new), T_retry, tol=tol,
-                               n_nodes=n_nodes, mode_count=mode_count)
+        for T in (T_pred, prev.period * np.sqrt(prev.k / k)):
+            result = _collocation_record(
+                sys, k, loop_mod.DiscreteLoop(prev.loop.nodes, T, prev.loop.winding),
+                tol, n_nodes, mode_count)
+            if isinstance(result, OrbitRecord):
+                break
         if isinstance(result, SearchFailure):
             result.detail = f"continuation fold at k={k}: {result.detail}"
             family.append(result)
@@ -517,19 +444,19 @@ def family_to_csv(path, family):
 def gradient_search(sys, k, initial_loop, schedule=None):
     """Search for a zero of the action form starting from a contractible loop.
 
-    One Fourier collocation solve (``_solve_closing``): the seed is
-    resampled to ``COLLOCATION_NODES`` nodes and its closing conditions
-    (nodal force balance in loop units plus the energy constraint, with the
-    period log-parametrized) are solved by a damped least-squares Newton
-    iteration on their exact Jacobian, the same step as ``shoot``'s, which
-    stops once the residual is at its roundoff floor (``ROUNDOFF_SCALE``),
-    or where no step lowers it; being a root finder it reaches zeros of any
-    Morse index.  The eta gate on the solved loop, not the Newton stop,
-    decides success.  The solved loop's orbit is integrated and certified,
-    or corrected by ``shoot`` when it misses the closure or eta gate.
-    Degenerations are classified honestly (period collapse or loop
-    shrinking toward a constant, a stalled vanishing sequence) and carry a
-    period trace.  Returns an ``OrbitRecord`` or a ``SearchFailure``.
+    ``_collocation_record`` from the seed loop, whose first solve may take
+    ``DESCENT_MAX_ITER`` Newton iterations: its closing conditions (nodal
+    force balance in loop units plus the energy constraint, with the period
+    log-parametrized) are solved by a damped least-squares Newton iteration
+    on their exact Jacobian, which stops once the residual is at its
+    roundoff floor (``ROUNDOFF_SCALE``), or where no step lowers it; being a
+    root finder it reaches zeros of any Morse index.  The eta gate on the
+    solved loop, not the Newton stop, decides success, and a loop that
+    misses a gate is solved again at twice the nodes.  Degenerations are
+    classified honestly (period collapse or loop shrinking toward a
+    constant, a stalled vanishing sequence) and carry a period trace.
+    Returns an ``OrbitRecord`` (method "gradient_search") or a
+    ``SearchFailure``.
 
     ``schedule`` overrides ``n_nodes`` and ``mode_count`` of the record
     (defaults 512 and 32); any other key raises ``ValueError``.
@@ -542,44 +469,35 @@ def gradient_search(sys, k, initial_loop, schedule=None):
     cfg.update(schedule)
     if np.any(initial_loop.winding):
         raise ValueError("descent search supports contractible seed loops only")
-
-    solved, eta, nodes, T, (res_norm, iterations, path, _) = _solve_closing(
-        sys, k, initial_loop.nodes, initial_loop.period, DESCENT_MAX_ITER)
-    period_trace = np.exp(path).tolist()
-    seed = initial_loop.nodes
-    spread = float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
-    spread0 = float(np.max(np.linalg.norm(seed - seed.mean(axis=0), axis=1)))
-    if T < T_FLOOR or spread <= 1e-3 * spread0:
-        return SearchFailure(reason="period_collapse", residual=res_norm,
-                             iterations=iterations, period_trace=period_trace,
-                             detail="loop shrinking toward constant")
-    if solved is None:
-        return SearchFailure(reason="stalled", residual=float(eta),
-                             iterations=iterations, period_trace=period_trace,
-                             detail="vanishing sequence: residual stalled above the gate")
-    rec = _loop_record(sys, k, solved, 1e-12, cfg["n_nodes"], cfg["mode_count"])
-    if rec is None:
-        rec = shoot(sys, k, PhaseState(*_loop_start(sys, k, nodes, T)), T,
-                    n_nodes=cfg["n_nodes"], mode_count=cfg["mode_count"])
+    rec = _collocation_record(sys, k, initial_loop, 1e-12, cfg["n_nodes"], cfg["mode_count"],
+                              max_iter=DESCENT_MAX_ITER)
     if isinstance(rec, OrbitRecord):
         rec.method = "gradient_search"
     return rec
 
 
-def _closing_state(sys, u):
+def _lifted_derivative(x, drift):
+    """s-derivative of the lift x of a loop with x(s + 1) = x(s) + drift:
+    the spectral derivative of the periodic x - s drift, plus drift."""
+    s = np.arange(len(x))[:, None] / len(x)
+    return loop_mod.spectral_derivative(x - s * drift) + drift
+
+
+def _closing_state(sys, u, drift):
     """Geometry at the nodes, their s-derivatives and the period of the
-    closing unknowns u = (nodes.ravel(), log T)."""
+    closing unknowns u = (nodes.ravel(), log T) of a loop with drift."""
     x = u[:-1].reshape(-1, sys.dim)
     T = float(np.exp(np.clip(u[-1], -30.0, 30.0)))
-    return geom.PointGeometry(sys, x), loop_mod.spectral_derivative(x), T
+    return geom.PointGeometry(sys, x), _lifted_derivative(x, drift), T
 
 
-def _closing_system(sys, k):
-    """Lean evaluator of the closing conditions; skips loop validation so
-    the solver may probe freely.  Unknowns u = (nodes.ravel(), log T)."""
+def _closing_system(sys, k, drift=0.0):
+    """Lean evaluator of the closing conditions of loops with the given
+    drift; skips loop validation so the solver may probe freely.  Unknowns
+    u = (nodes.ravel(), log T)."""
 
     def fvec(u):
-        pg, xdot, T = _closing_state(sys, u)
+        pg, xdot, T = _closing_state(sys, u, drift)
         xddot = loop_mod.spectral_derivative(xdot)
         force, c_tau = loop_mod._closing_terms(pg, xdot, xddot, T, k)
         return np.concatenate([force.ravel(), [c_tau * len(xdot)]])
@@ -587,18 +505,19 @@ def _closing_system(sys, k):
     return fvec
 
 
-def _closing_jacobian(sys, u):
-    """Exact Jacobian at u of the closing conditions ``_closing_system(sys, k)``,
-    which does not depend on k.
+def _closing_jacobian(sys, u, drift=0.0):
+    """Exact Jacobian at u of the closing conditions ``_closing_system(sys, k,
+    drift)``, which depends neither on k nor on the drift.
 
     With D the s-derivative matrix the residual applies (Nyquist mode
     zeroed) and (J_x, J_v)_i = da/d(x, v) at the velocity xdot_i/T, the force
     rows xddot - T^2 a(xdot/T) are  D^2 (x) I - T [J_v_i] D - T^2 blockdiag(J_x_i),
     with -T Om_i xdot_i = T (J_v_i xdot_i - 2 T a_i), a_i = a(xdot_i/T), in the
     log T column; the energy row differentiates
-    N k - sum_i |xdot_i|_g^2 / (2 T^2).
+    N k - sum_i |xdot_i|_g^2 / (2 T^2).  The drift only shifts xdot, so
+    d(xdot)/d(nodes) is D for winding loops too.
     """
-    pg, xdot, T = _closing_state(sys, u)
+    pg, xdot, T = _closing_state(sys, u, drift)
     n_nodes, n = xdot.shape
     d = loop_mod.spectral_derivative(np.eye(n_nodes))
     dlog = 1.0 if abs(u[-1]) < 30.0 else 0.0   # d log T / du[-1] under the clip
@@ -616,44 +535,48 @@ def _closing_jacobian(sys, u):
     return jac
 
 
-def _resample(nodes, n_nodes):
-    """The trigonometric interpolant of periodic nodes at n_nodes equispaced
-    nodes: FFT truncation or zero padding, without the Nyquist mode of the
-    coarser grid."""
-    coef = np.fft.rfft(nodes, axis=0)
+def _resample(nodes, n_nodes, drift):
+    """The trigonometric interpolant of the loop lift nodes with the given
+    drift at n_nodes equispaced nodes: FFT truncation or zero padding of the
+    periodic nodes - s drift, without the Nyquist mode of the coarser grid,
+    with the drift added back."""
+    s_in = np.arange(len(nodes))[:, None] / len(nodes)
+    s_out = np.arange(n_nodes)[:, None] / n_nodes
+    coef = np.fft.rfft(nodes - s_in * drift, axis=0)
     out = np.zeros((n_nodes // 2 + 1, nodes.shape[1]), dtype=complex)
     keep = (min(len(nodes), n_nodes) + 1) // 2
     out[:keep] = coef[:keep]
-    return np.fft.irfft(out, n=n_nodes, axis=0) * (n_nodes / len(nodes))
+    return np.fft.irfft(out, n=n_nodes, axis=0) * (n_nodes / len(nodes)) + s_out * drift
 
 
-def _solve_closing(sys, k, nodes, T, max_iter):
-    """One Fourier collocation solve from the periodic loop (nodes, T): the
-    nodes resampled to ``COLLOCATION_NODES`` and a damped Newton iteration
-    on their closing conditions, which stops at roundoff (the residual
-    below the ``ROUNDOFF_SCALE`` floor of the seed), or where no step lowers
-    the residual any more.  The stop does not certify the loop; the eta
-    gate on the solved loop does.
+def _solve_closing(sys, k, seed, n_nodes, max_iter):
+    """One Fourier collocation solve from the seed ``DiscreteLoop``: its
+    nodes resampled to n_nodes and a damped Newton iteration on their
+    closing conditions, which stops at roundoff (the residual below the
+    ``ROUNDOFF_SCALE`` floor of the seed), or where no step lowers the
+    residual any more.  The stop does not certify the loop; the eta gate on
+    the solved loop does.
 
     Returns (loop, eta, nodes, T, (|r|, iterations, path, stop)): the
-    solved ``DiscreteLoop`` (None where the solution is no valid loop or
-    misses the eta gate) and its eta norm (inf for no valid loop), the
-    solved nodes and period, and the Newton report, whose stop reason is
-    "roundoff", "stalled", "max_iterations" or "singular".  A loop the
-    nodes do not resolve fails later, at the closure or eta gate of its
-    integrated record.
+    solved ``DiscreteLoop``, with the seed's winding (None where the
+    solution is no valid loop or misses the eta gate), and its eta norm
+    (inf for no valid loop), the solved nodes and period, and the Newton
+    report, whose stop reason is "roundoff", "stalled", "max_iterations" or
+    "singular".  A loop the nodes do not resolve may still pass the eta
+    gate; the closure and eta gates of its integrated record catch it.
     """
-    fvec = _closing_system(sys, k)
-    nodes = _resample(nodes, COLLOCATION_NODES)
-    u0 = np.concatenate([nodes.ravel(), [np.log(T)]])
-    xddot = loop_mod.spectral_derivative(loop_mod.spectral_derivative(nodes))
+    drift = seed.drift(sys)
+    fvec = _closing_system(sys, k, drift)
+    nodes = _resample(seed.nodes, n_nodes, drift)
+    u0 = np.concatenate([nodes.ravel(), [np.log(seed.period)]])
+    xddot = loop_mod.spectral_derivative(_lifted_derivative(nodes, drift))
     floor = (ROUNDOFF_SCALE * np.finfo(float).eps * u0.size
              * max(1.0, float(np.max(np.abs(xddot)))))
     u, res_norm, iterations, path, stop = _damped_newton(
-        fvec, lambda uu: _closing_jacobian(sys, uu), u0, fvec(u0), floor, max_iter)
+        fvec, lambda uu: _closing_jacobian(sys, uu, drift), u0, fvec(u0), floor, max_iter)
     nodes, T = u[:-1].reshape(nodes.shape), float(np.exp(u[-1]))
     try:
-        solved = loop_mod.DiscreteLoop(nodes, T)
+        solved = loop_mod.DiscreteLoop(nodes, T, seed.winding)
         eta = loop_mod.eta_norm(sys, solved, k)
     except ValueError:
         solved, eta = None, float("inf")
@@ -662,32 +585,61 @@ def _solve_closing(sys, k, nodes, T, max_iter):
     return solved, eta, nodes, T, (res_norm, iterations, path, stop or "roundoff")
 
 
-def _loop_start(sys, k, nodes, T):
-    """Start state (x0, v0) of the periodic loop (nodes, T), with the
-    velocity rescaled onto the energy level |v| = sqrt(2k)."""
-    v0 = loop_mod.spectral_derivative(nodes)[0] / T
-    return nodes[0], v0 * (np.sqrt(2.0 * k) / sys.norm(nodes[0], v0))
+def _loop_start(sys, k, loop):
+    """Start state (x0, v0) of the loop, with the velocity rescaled onto the
+    energy level |v| = sqrt(2k)."""
+    v0 = _lifted_derivative(loop.nodes, loop.drift(sys))[0] / loop.period
+    return loop.nodes[0], v0 * (np.sqrt(2.0 * k) / sys.norm(loop.nodes[0], v0))
 
 
-def _loop_record(sys, k, loop, tol, n_nodes, mode_count):
-    """The certified record of the orbit integrated from the start of the
-    solved loop; None when the orbit swaps charts from both ends or misses
-    the closure or eta gate."""
-    x0, v0 = _loop_start(sys, k, loop.nodes, loop.period)
-    record = _build_record(sys, k, x0, v0, loop.period, tol, n_nodes, mode_count, True)
-    return record if isinstance(record, OrbitRecord) else None
+def _spread(nodes):
+    return float(np.max(np.linalg.norm(nodes - nodes.mean(axis=0), axis=1)))
 
 
-def _collocation_record(sys, k, nodes, T, tol, n_nodes, mode_count):
-    """The certified record, with method "collocation", of the orbit one
-    collocation solve finds from the contractible loop (nodes, T); None
-    when the solved loop or its integrated orbit misses a gate."""
-    solved = _solve_closing(sys, k, nodes, T, PREDICTOR_MAX_ITER)[0]
-    record = None if solved is None else _loop_record(sys, k, solved, tol, n_nodes,
-                                                      mode_count)
-    if record is not None:
-        record.method = "collocation"
-    return record
+def _collocation_record(sys, k, seed, tol, n_nodes, mode_count, max_iter=PREDICTOR_MAX_ITER):
+    """The certified record, with method "collocation", of the orbit that
+    Fourier collocation finds from the seed ``DiscreteLoop``.
+
+    The first solve takes ``COLLOCATION_NODES`` nodes and up to max_iter
+    Newton iterations.  Where its solved loop misses the eta gate, or the
+    orbit integrated from the loop's start misses a gate of its record, the
+    loop just solved is solved again at twice the nodes (``PREDICTOR_MAX_ITER``
+    iterations), up to ``MAX_COLLOCATION_NODES``.  So is a loop whose Newton
+    solve stopped above its roundoff floor, even where it passes the eta
+    gate: the nodes did not resolve its closing conditions, and a record
+    integrated from it carries that error in its period.  A solution whose
+    period falls below ``T_FLOOR`` or whose nodes shrink toward a constant
+    ends the search ("period_collapse").  Otherwise a failed search returns
+    the ``SearchFailure`` of its last solve: the Newton stop ("stalled",
+    "max_iterations", "singular"), "eta_gate" for a loop solved to roundoff
+    that misses the gate, or the gate its record misses, with that solve's
+    residual, iterations and period trace.
+    """
+    spread0 = _spread(seed.nodes)
+    size = COLLOCATION_NODES
+    while True:
+        solved, _, nodes, T, (res_norm, iterations, path, stop) = _solve_closing(
+            sys, k, seed, size, max_iter)
+        period_trace = np.exp(path).tolist()
+        if T < T_FLOOR or _spread(nodes) <= 1e-3 * spread0:
+            return SearchFailure(reason="period_collapse", residual=res_norm,
+                                 iterations=iterations, period_trace=period_trace,
+                                 detail="loop shrinking toward constant")
+        last = 2 * size > MAX_COLLOCATION_NODES
+        if solved is None or not (stop == "roundoff" or last):
+            reason = "eta_gate" if stop == "roundoff" else stop
+            result = SearchFailure(reason=reason, residual=res_norm, iterations=iterations,
+                                   period_trace=period_trace, detail=_NEWTON_DETAIL[reason])
+        else:
+            result = _build_record(sys, k, *_loop_start(sys, k, solved), solved.period, tol,
+                                   n_nodes, mode_count)
+            if isinstance(result, OrbitRecord):
+                return result
+            result.iterations, result.period_trace = iterations, period_trace
+        if last:
+            return result
+        seed = loop_mod.DiscreteLoop(nodes, T, seed.winding)
+        size, max_iter = 2 * size, PREDICTOR_MAX_ITER
 
 
 def circle_loop(center, radius, n_nodes=128, period=2.0 * np.pi, phase=0.0,

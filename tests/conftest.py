@@ -52,8 +52,8 @@ def sphere_loop(sphere_orbit):
 
 @pytest.fixture(scope="session")
 def torus_record(torus):
-    rec = solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
-                      winding_target=(0, 0))
+    rec = solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
+                           winding_target=(0, 0))
     assert isinstance(rec, solve.OrbitRecord)
     return rec
 
@@ -63,7 +63,7 @@ def sphere_record(sphere):
     x0 = np.array([1.06, 0.02])
     v0 = np.array([-0.05, 1.0])
     v0 = v0 / sphere.norm(x0, v0)
-    rec = solve.shoot(sphere, 0.5, flow.PhaseState(x0, v0), 6.1)
+    rec = solve.find_orbit(sphere, 0.5, flow.PhaseState(x0, v0), 6.1)
     assert isinstance(rec, solve.OrbitRecord)
     return rec
 
@@ -79,8 +79,8 @@ def sine_sweep():
     k0 = 0.1
     x0 = np.array([np.pi / 2.0, 1.0])
     v0 = np.array([1.0, 0.0]) * np.sqrt(2.0 * k0)
-    rec = solve.shoot(sf, k0, flow.PhaseState(x0, v0), TWO_PI / 1.2,
-                      winding_target=(0, 0))
+    rec = solve.find_orbit(sf, k0, flow.PhaseState(x0, v0), TWO_PI / 1.2,
+                           winding_target=(0, 0))
     assert isinstance(rec, solve.OrbitRecord)
     fam = [rec] + solve.continue_in_k(sf, rec, [0.25, 0.5, 1.0, 2.0])
     return sf, fam

@@ -32,8 +32,8 @@ class TestCriterion1TorusBenchmark:
             worst = max(worst, abs(magcurv.ric_omega_k(torus, x, v, K) - 1.0))
         assert worst < 1e-10
 
-        record = solve.shoot(torus, K, flow.PhaseState([0.0, 0.0], [1.0, 0.0]),
-                             6.0, n_nodes=512, mode_count=32, winding_target=(0, 0))
+        record = solve.find_orbit(torus, K, flow.PhaseState([0.0, 0.0], [1.0, 0.0]),
+                                  6.0, n_nodes=512, mode_count=32, winding_target=(0, 0))
         assert isinstance(record, solve.OrbitRecord)
         assert abs(record.period - TWO_PI) < 1e-6
         assert record.closure_residual < 1e-8

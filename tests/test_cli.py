@@ -315,6 +315,25 @@ dir = {out_dir}
         assert any("sigma12" in p for p in err.value.problems)
 
 
+PERIOD_TOL = 1e-6
+# the builtins whose closed orbits at energy k are known: (T, multiples)
+# with T their period, or, where multiples holds, the period of their first
+# turn, so that an orbit of several turns has a multiple of it; T is None
+# where no contractible closed orbit exists
+ORBIT_PERIODS = {
+    # the cyclotron circle of the uniform field b = 1
+    "flat_torus": lambda k: (2.0 * np.pi, False),
+    # great circles at speed sqrt(2k)
+    "round_sphere_b0": lambda k: (2.0 * np.pi / np.sqrt(2.0 * k), False),
+    # circles of the unit sphere with b = 1; the default seed's orbit may
+    # be found after several turns
+    "round_sphere_b1": lambda k: (2.0 * np.pi / np.sqrt(2.0 * k + 1.0), True),
+    # closed orbits below the Mane critical value b^2/2 = 1/2 only
+    "hyperbolic_chart": lambda k: ((2.0 * np.pi / np.sqrt(1.0 - 2.0 * k) if k < 0.5 else None),
+                                   False),
+}
+
+
 class TestCommands:
     def test_find_orbit_torus(self, tmp_path):
         path = write_config(tmp_path, TORUS_FIND_ORBIT)
@@ -348,7 +367,8 @@ class TestCommands:
                                   "round_sphere_b1", "hyperbolic_chart"])
     def test_find_orbit_ends_in_record_or_classified_failure(self, tmp_path, system, k):
         # every builtin at CLI default seeds: a certified record, or a
-        # search failure that names why, never an unclassified error
+        # search failure that names why, never an unclassified error; where
+        # the builtin's closed orbits are known, the record has their period
         out = tmp_path / "out"
         config = parse_config(f"[system]\nbuiltin = {system}\n\n[task]\ncommand = find-orbit\n"
                               f"k = {k}\nnodes = 128\nmodes = 16\n\n[output]\ndir = {out}\n")
@@ -360,7 +380,19 @@ class TestCommands:
         else:
             assert status == 1 and record["kind"] == "search_failure"
             assert record["reason"] in ("stalled", "max_iterations", "singular", "chart_swap",
-                                        "closure_gate", "eta_gate")
+                                        "closure_gate", "eta_gate", "period_collapse",
+                                        "seed_flow")
+        oracle = ORBIT_PERIODS.get(system.replace("\nb = ", "_b"))
+        if oracle is None:
+            return
+        period, multiples = oracle(k)
+        if period is None:
+            assert record["kind"] == "search_failure"
+            return
+        assert record["kind"] == "orbit_record"
+        turns = round(record["period"] / period) if multiples else 1
+        assert turns >= 1
+        assert record["period"] == pytest.approx(turns * period, abs=PERIOD_TOL)
 
     def test_curvature_sphere_constant_one(self, tmp_path):
         path = write_config(tmp_path, SPHERE_CURVATURE)

@@ -52,8 +52,8 @@ CASES = {
     "sec_omega_k": (lambda sys, x, v, w: magcurv.sec_omega_k(sys, x, v, w, 0.7), ALL),
     "magnetic_ode_rhs": (lambda sys, x, v, w: flow.magnetic_ode_rhs(sys, flow.PhaseState(x, v)),
                          EQUATION),
-    "acceleration_jacobian": (
-        lambda sys, x, v, w: geom.acceleration_jacobian(geom.PointGeometry(sys, x), v),
+    "acceleration_and_jacobian": (
+        lambda sys, x, v, w: geom.acceleration_and_jacobian(geom.PointGeometry(sys, x), v),
         dict.fromkeys(CALLBACKS, 1)),
     "transport_rate": (
         lambda sys, x, v, w: geom.transport_rate(geom.PointGeometry(sys, x), v, w), EQUATION),
@@ -155,10 +155,11 @@ def test_flow_steps_solve_by_one_cholesky(counted, touched, monkeypatch):
     evaluates its point in one checked pass, calling every callback it
     reads once, and solves with the g of its point by one LAPACK Cholesky
     solve.  ``integrate`` builds one PointGeometry, for its sample stack,
-    checks g positive-definite on it by one Cholesky factorisation and
-    reads g once more for the start energy; ``integrate_variational``
-    builds one for the stack of its two ends and evaluates the vector field
-    once more at the end state; each inverts the factor once."""
+    checks g positive-definite on it by one Cholesky factorisation, inverts
+    the factor once and reads g once more for the start energy.  A transport
+    step reads its point's fields from the same one-pass evaluation: one
+    call of each callback it reads, and its solve with g by one Cholesky
+    solve; it reads no tensor either."""
     sys, counts = counted
     for module, name in ((geom, "dposv"), (np.linalg, "solve"), (np.linalg, "inv")):
         def count(*args, name=name, fn=getattr(module, name), **kwargs):
@@ -174,19 +175,25 @@ def test_flow_steps_solve_by_one_cholesky(counted, touched, monkeypatch):
     monkeypatch.setattr(geom.PointGeometry, "__init__", counting_init)
     state = flow.PhaseState([0.3, 1.1, 2.0], [0.4, -0.2, 0.3])
     counts.clear()
-    nfev = flow.integrate(sys, state, 2.0, samples=17).meta["nfev"]
+    orbit = flow.integrate(sys, state, 2.0, samples=17)
+    nfev = orbit.meta["nfev"]
     assert nfev > 100
     assert touched == [("ginv", (17, 3))]
     assert dict(counts) == {"PointGeometry": 1, "cholesky": 1, "inv": 1, "dposv": nfev,
                             "metric": nfev + 2, "dmetric": nfev, "two_form": nfev}
     touched.clear()
     counts.clear()
-    nfev = flow.integrate_variational(sys, state, 2.0).nfev
-    assert nfev > 100
-    assert touched == [("ginv", (2, 3))]
-    assert dict(counts) == {"PointGeometry": 1, "cholesky": 1, "inv": 1, "dposv": nfev + 1,
-                            "metric": nfev + 2, "dmetric": nfev + 1, "two_form": nfev + 1,
-                            "d2metric": nfev, "dtwo_form": nfev}
+    rates = []
+    transport_rate, point_fields = geom.transport_rate, geom.ChartedSystem.point_fields
+    monkeypatch.setattr(geom, "transport_rate", lambda *a: rates.append(1) or transport_rate(*a))
+    monkeypatch.setattr(geom.ChartedSystem, "point_fields",
+                        lambda *a: counts.update(["point_fields"]) or point_fields(*a))
+    flow.magnetic_transport(sys, orbit, np.array([0.1, 0.5, -0.3]))
+    steps = len(rates)
+    assert steps > 100
+    assert touched == []
+    assert dict(counts) == {"PointGeometry": steps, "point_fields": steps, "dposv": steps,
+                            "metric": steps, "dmetric": steps, "two_form": steps}
 
 
 def _defect(name):
@@ -228,11 +235,11 @@ def _defect(name):
     "symmetric sigma", "NaN in dmetric", "indefinite g", "NaN in d2metric", "NaN in dtwo_form"])
 def test_defect_in_a_step_raises_the_named_error(defect):
     """A field that goes wrong on the way raises, in a step of ``integrate``
-    and of ``integrate_variational`` (within ``flow._solve``, not in the
-    checks of the sample stack after it), the error that the stack API
-    raises at such a point: shape, (anti)symmetry and finiteness from the
-    ``*_at`` methods, positive-definiteness from the solve, naming a point
-    where it went wrong.  ``integrate`` reads no d2g or dsigma."""
+    (within ``flow._solve``, not in the checks of the sample stack after
+    it), the error that the stack API raises at such a point: shape,
+    (anti)symmetry and finiteness from the ``*_at`` methods,
+    positive-definiteness from the solve, naming a point where it went
+    wrong.  ``integrate`` reads no d2g or dsigma."""
     sys = _defect(defect)
     v = np.array([1.0, 0.0])
     with pytest.raises((ValueError, DegenerateMetricError)) as reference:
@@ -240,20 +247,17 @@ def test_defect_in_a_step_raises_the_named_error(defect):
     error = type(reference.value)
     named = str(reference.value).split(" at x=")[0]
     state = flow.PhaseState([0.0, 0.3], v)
-    runs = [flow.integrate_variational]
     if defect in ("NaN in d2metric", "NaN in dtwo_form"):
         assert flow.integrate(sys, state, 3.0).meta["nfev"] > 0
-    else:
-        runs.append(flow.integrate)
-    for run in runs:
-        with pytest.raises(error) as info:
-            run(sys, state, 3.0)
-        assert type(info.value) is error
-        assert "_solve" in [entry.name for entry in info.traceback]
-        message, _, point = str(info.value).partition(" at x=")
-        assert message == named
-        if point:
-            assert float(re.match(r"array\(\[([^,]+),", point).group(1)) >= 1.0
+        return
+    with pytest.raises(error) as info:
+        flow.integrate(sys, state, 3.0)
+    assert type(info.value) is error
+    assert "_solve" in [entry.name for entry in info.traceback]
+    message, _, point = str(info.value).partition(" at x=")
+    assert message == named
+    if point:
+        assert float(re.match(r"array\(\[([^,]+),", point).group(1)) >= 1.0
 
 
 def test_closing_jacobian_inverts_the_metric_once(counted, touched, monkeypatch):
@@ -309,10 +313,9 @@ def test_singular_metric_in_the_step_is_named():
             with pytest.raises(ValueError, match="zero velocity"):
                 geom.transport_rate(geom.PointGeometry(sys, xs[0]), np.zeros(2), ones[0])
         # the flow runs along the x1 axis into the half-plane x1 >= 1
-        for integrate in (flow.integrate, flow.integrate_variational):
-            with pytest.raises(DegenerateMetricError, match="degenerate metric at x=") as info:
-                integrate(sys, flow.PhaseState([0.0, 0.3], [1.0, 0.0]), 3.0)
-            assert float(re.search(r"\[([^,]+),", str(info.value)).group(1)) >= 1.0
+        with pytest.raises(DegenerateMetricError, match="degenerate metric at x=") as info:
+            flow.integrate(sys, flow.PhaseState([0.0, 0.3], [1.0, 0.0]), 3.0)
+        assert float(re.search(r"\[([^,]+),", str(info.value)).group(1)) >= 1.0
 
 
 def test_curvature_command_evaluates_each_sample_once(counted, tmp_path):
@@ -552,7 +555,7 @@ def test_acceleration_jacobian_matches_central_differences(trig_system, seed):
         xs = rng.uniform(0.5, 2.0 * np.pi, size=(2, 3, sys.dim))
         v = rng.normal(size=xs.shape)
         pg = geom.PointGeometry(sys, xs)
-        jx, jv = geom.acceleration_jacobian(pg, v)
+        _, jx, jv = geom.acceleration_and_jacobian(pg, v)
         for m, e in enumerate(h * np.eye(sys.dim)):
             dx = (geom.acceleration(geom.PointGeometry(sys, xs + e), v)
                   - geom.acceleration(geom.PointGeometry(sys, xs - e), v)) / (2.0 * h)
@@ -593,7 +596,7 @@ def _equation_by_tensors(pg, v, V):
 @given(trig_systems, st.integers(0, 2 ** 16))
 @settings(max_examples=10, deadline=None)
 def test_equation_matches_tensor_contractions(trig_system, seed):
-    """acceleration, acceleration_jacobian and transport_rate, formed from dg,
+    """acceleration, acceleration_and_jacobian and transport_rate, formed from dg,
     d2g and solves with g, equal the contractions of the Christoffel and
     Lorentz tensors, at a stack of points and at a single point."""
     for sys in [trig_system] + OTHER_SYSTEMS:
@@ -602,11 +605,10 @@ def test_equation_matches_tensor_contractions(trig_system, seed):
         v, V = rng.normal(size=(2,) + xs.shape)
         for idx in ((), (1, 2)):   # the stack, and one of its points alone
             pg = geom.PointGeometry(sys, xs[idx])
-            got = (geom.acceleration(pg, v[idx]), *geom.acceleration_jacobian(pg, v[idx]),
+            a, jx, jv = geom.acceleration_and_jacobian(pg, v[idx])
+            got = (geom.acceleration(pg, v[idx]), jx, jv,
                    geom.transport_rate(pg, v[idx], V[idx]))
             ref, scales = _equation_by_tensors(pg, v[idx], V[idx])
-            a, jx, jv = geom.acceleration_and_jacobian(pg, v[idx])
-            assert np.array_equal(jx, got[1]) and np.array_equal(jv, got[2])
             assert _rel_err(a, got[0], scales[0]) <= 1e-14
             for name, mine, theirs, scale in zip(("a", "J_x", "J_v", "transport"),
                                                  got, ref, scales):
@@ -629,8 +631,9 @@ def _nearly_symmetric(sys):
 def test_flow_step_matches_the_point_geometry(trig_system, seed):
     """The single-point pass of a flow step equals the stack API bit for bit:
     ``flow._vector_field`` is (v, ``acceleration(PointGeometry(sys, x), v)``),
-    ``magnetic_ode_rhs`` the same, and the variational step's (a, J_x, J_v)
-    is ``acceleration_and_jacobian``."""
+    ``magnetic_ode_rhs`` the same, and a transport step's rate, from the
+    fields of ``geom._point_geometry``, is ``transport_rate`` of the point's
+    ``PointGeometry``."""
     for sys in [trig_system, _nearly_symmetric(trig_system)] + OTHER_SYSTEMS:
         rng = np.random.default_rng(seed)
         for x, v in zip(rng.uniform(0.5, 2.0 * np.pi, size=(3, sys.dim)),
@@ -641,6 +644,6 @@ def test_flow_step_matches_the_point_geometry(trig_system, seed):
                                   np.concatenate([v, a])), sys.name
             dx, dv = flow.magnetic_ode_rhs(sys, flow.PhaseState(x, v))
             assert np.array_equal(dx, v) and np.array_equal(dv, a)
-            step = geom._point_acceleration_and_jacobian(sys, x, v)
-            for mine, ref in zip(step, geom.acceleration_and_jacobian(pg, v)):
-                assert np.array_equal(mine, ref), sys.name
+            V = rng.normal(size=sys.dim)
+            assert np.array_equal(geom.transport_rate(geom._point_geometry(sys, x), v, V),
+                                  geom.transport_rate(pg, v, V)), sys.name

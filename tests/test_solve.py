@@ -9,7 +9,7 @@ from maggeo.errors import StiffTrajectoryError
 TWO_PI = 2.0 * np.pi
 
 
-class TestShoot:
+class TestPointSeed:
     def test_torus_period(self, torus_record):
         assert torus_record.period == pytest.approx(TWO_PI, abs=1e-8)
         assert torus_record.closure_residual < 1e-8
@@ -17,8 +17,7 @@ class TestShoot:
         assert tuple(torus_record.winding) == (0, 0)
 
     def test_torus_k2_radius_two(self, torus):
-        rec = solve.shoot(torus, 2.0, flow.PhaseState([0.0, 0.0], [2.0, 0.0]), 6.0,
-                          compute_index=False)
+        rec = solve.find_orbit(torus, 2.0, flow.PhaseState([0.0, 0.0], [2.0, 0.0]), 6.0)
         assert isinstance(rec, solve.OrbitRecord)
         assert rec.period == pytest.approx(TWO_PI, abs=1e-8)
         # sampled extremes miss the true turning points by O((T/N)^2)
@@ -31,120 +30,74 @@ class TestShoot:
 
     def test_no_contractible_orbit_without_field(self):
         sys = systems.flat_torus(b=0.0)
-        out = solve.shoot(sys, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
-                          winding_target=(0, 0), max_iter=12, compute_index=False)
+        out = solve.find_orbit(sys, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
+                               winding_target=(0, 0))
         assert isinstance(out, solve.SearchFailure)
         assert "nonexistence" in out.to_json()["note"]
 
     def test_seed_energy_checked(self, torus):
         with pytest.raises(ValueError):
-            solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [2.0, 0.0]), 6.0)
+            solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [2.0, 0.0]), 6.0)
 
     def test_mirrored_seed_orbit_is_not_accepted(self):
-        # Newton turns v0 from the seed direction; an orbit that returns
-        # to x0 with v0 reflected across the seed's normal is no closed orbit
+        # an orbit that returns to x0 with v0 reflected across the seed's
+        # normal is no closed orbit
         sys = systems.sine_field_torus()
-        out = solve.shoot(sys, 0.1, flow.PhaseState([0.0, 0.0], [np.sqrt(0.2), 0.0]), TWO_PI,
-                          winding_target=(0, 0), n_nodes=128, mode_count=16)
+        out = solve.find_orbit(sys, 0.1, flow.PhaseState([0.0, 0.0], [np.sqrt(0.2), 0.0]),
+                               TWO_PI, winding_target=(0, 0), n_nodes=128, mode_count=16)
         if isinstance(out, solve.OrbitRecord):
             assert out.certified and out.closure_residual < solve.CLOSURE_GATE
         else:
             assert out.reason in ("stalled", "max_iterations", "closure_gate")
 
     def test_singular_step_is_a_classified_failure(self, torus, monkeypatch):
-        def singular(residual, jacobian, u, r, residual_target, max_iter, floor):
-            return u, 0.5, 3, [6.0, 6.1, 6.2, 6.2], "singular"
+        # every solve, refinements included, ends in a non-finite step: the
+        # failure carries the last solve's stop, residual, iterations and
+        # period trace
+        sizes = []
+
+        def singular(residual, jacobian, u, r, residual_target, max_iter):
+            sizes.append((u.size - 1) // 2)
+            return u, 0.5, 3, [np.log(6.0), np.log(6.1), np.log(6.2), np.log(6.2)], "singular"
 
         monkeypatch.setattr(solve, "_damped_newton", singular)
-        out = solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0)
+        out = solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0)
         assert isinstance(out, solve.SearchFailure)
         assert (out.reason, out.residual, out.iterations) == ("singular", 0.5, 3)
-        assert out.period_trace == [6.0, 6.1, 6.2, 6.2]
+        assert out.period_trace == pytest.approx([6.0, 6.1, 6.2, 6.2], rel=1e-15)
+        assert sizes == [32, 64, 128]
 
 
-def _residual_at(sys, k, x_ref, v_ref, u, winding_target):
-    return solve._residual(sys, k, x_ref, v_ref, sys.dim, u, 1e-12,
-                           winding_target=winding_target)
+def _counting_integrators(monkeypatch):
+    """Spy on the integrations ``solve`` runs; returns the call log."""
+    calls = []
+    plain = solve.integrate
+
+    def counted_plain(*args, **kwargs):
+        calls.append("plain")
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "integrate", counted_plain)
+    return calls
 
 
-def _jacobian_cases():
-    sine = systems.sine_field_torus()
-    x_s = np.array([np.pi / 2.0, 1.0])
-    v_s = np.array([1.0, 0.0]) * np.sqrt(0.2)
-    sphere = systems.round_sphere(b=1.0)
-    x_p = np.array([3.8, 0.0])     # next to the chart swap at |x| = 4
-    v_p = np.array([1.0, 0.2]) / sphere.norm(x_p, [1.0, 0.2])
-    trig = systems.random_trig_system(dim=3)
-    x_t = np.array([0.3, 0.2, 0.1])
-    v_t = np.array([1.0, 0.0, 0.0]) / trig.norm(x_t, [1.0, 0.0, 0.0])
-    return {
-        "sine_field_torus": (sine, 0.1, x_s, v_s, [0.1, TWO_PI / 1.2], (0, 0)),
-        "round_sphere_swap": (sphere, 0.5, x_p, v_p, [0.05, 3.0], None),
-        "random_trig_3d": (trig, 0.5, x_t, v_t, [0.05, -0.02, 2.0], None),
-    }
+def _failed_solve(sys, k, seed, n_nodes, max_iter):
+    """A collocation solve whose loop misses the eta gate."""
+    path = [float(np.log(seed.period))]
+    return None, float("inf"), seed.nodes, seed.period, (float("inf"), max_iter, path, "stalled")
 
 
-class TestShootJacobian:
-    @pytest.mark.parametrize("name", ["sine_field_torus", "round_sphere_swap", "random_trig_3d"])
-    def test_monodromy_jacobian_matches_central_differences(self, name):
-        sys, k, x_ref, v_ref, rest, wt = _jacobian_cases()[name]
-        u = np.concatenate([x_ref, rest])
-        r, jac = _residual_at(sys, k, x_ref, v_ref, u, wt)
-        fd = np.empty_like(jac)
-        for j in range(u.size):
-            h = 1e-5 * max(1.0, abs(u[j]))
-            up = u.copy(); up[j] += h
-            um = u.copy(); um[j] -= h
-            fd[:, j] = (_residual_at(sys, k, x_ref, v_ref, up, wt)[0]
-                        - _residual_at(sys, k, x_ref, v_ref, um, wt)[0]) / (2.0 * h)
-        assert np.linalg.norm(jac - fd) < 1e-6 * np.linalg.norm(fd)
-        if name == "round_sphere_swap":
-            x0, v0, _, _ = solve._start(sys, k, v_ref, sys.dim, u)
-            mono = flow.integrate_variational(sys, flow.PhaseState(x0, v0), u[-1])
-            assert mono.chart_swaps >= 1
+def _counted_solves(monkeypatch):
+    """Spy on the collocation solves; returns (seed period, nodes) of each."""
+    solves = []
+    solve_closing = solve._solve_closing
 
-    def test_residual_sees_a_mirrored_end_velocity(self, monkeypatch):
-        # end states fed in place of the integration: back at x0 with v0,
-        # and back at x0 with v0 reflected across the seed direction's normal
-        sys, k, x_ref, v_ref, _, wt = _jacobian_cases()["sine_field_torus"]
-        u = np.concatenate([x_ref, [0.3, TWO_PI / 1.2]])
-        x0, v0, g, _ = solve._start(sys, k, v_ref, 2, u)
-        vdir = v_ref / sys.norm(x_ref, v_ref)
-        mirrored = v0 - 2.0 * float(vdir @ g @ v0) * vdir
-        assert sys.norm(x0, mirrored) == pytest.approx(np.sqrt(2.0 * k), rel=1e-12)
-        norms = []
-        for ve in (v0, mirrored):
-            end = flow.Monodromy(y=np.concatenate([x0, ve]), phi=np.eye(4), rhs=np.zeros(4),
-                                 nfev=0, chart_swaps=0)
-            monkeypatch.setattr(solve, "integrate_variational", lambda *a, end=end, **kw: end)
-            norms.append(float(np.linalg.norm(_residual_at(sys, k, x_ref, v_ref, u, wt)[0])))
-        assert norms[0] < 1e-12
-        assert norms[1] > 0.1 * np.sqrt(2.0 * k)
+    def counted(sys, k, seed, n_nodes, max_iter):
+        solves.append((seed.period, n_nodes))
+        return solve_closing(sys, k, seed, n_nodes, max_iter)
 
-    def test_accepted_full_step_costs_one_integration(self, torus, monkeypatch):
-        integrations = []
-        norms = []
-        variational, residual = solve.integrate_variational, solve._residual
-
-        def counted_variational(*args, **kwargs):
-            integrations.append("variational")
-            return variational(*args, **kwargs)
-
-        def counted_residual(*args, **kwargs):
-            r, jac = residual(*args, **kwargs)
-            norms.append(float(np.linalg.norm(r)))
-            return r, jac
-
-        monkeypatch.setattr(solve, "integrate_variational", counted_variational)
-        monkeypatch.setattr(solve, "integrate", lambda *a, **kw: integrations.append("plain"))
-        monkeypatch.setattr(solve, "_residual", counted_residual)
-        out = solve.shoot(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
-                          winding_target=(0, 0), max_iter=1, compute_index=False)
-        assert isinstance(out, solve.SearchFailure) and out.reason == "max_iterations"
-        # one evaluation at the seed, one for the step: its first trial is
-        # the full step, and it was accepted
-        assert len(norms) == 2 and norms[1] < norms[0]
-        assert integrations == ["variational", "variational"]
+    monkeypatch.setattr(solve, "_solve_closing", counted)
+    return solves
 
 
 class TestGradientSearch:
@@ -164,9 +117,9 @@ class TestGradientSearch:
         closing_jacobian = solve._closing_jacobian
         fvec = solve._closing_system(torus, 0.5)
 
-        def counted(sys, u):
+        def counted(sys, u, drift):
             residuals.append(float(np.linalg.norm(fvec(u))))
-            return closing_jacobian(sys, u)
+            return closing_jacobian(sys, u, drift)
 
         monkeypatch.setattr(solve, "_closing_jacobian", counted)
         out = solve.gradient_search(torus, 0.5, torus_record.loop,
@@ -179,36 +132,34 @@ class TestGradientSearch:
 
     def test_seed_at_gate_skips_lm(self, torus, torus_record, monkeypatch):
         # a seed that already passes the eta gate is certified from its one
-        # collocation solve; no shoot correction (and its Newton run) follows
-        def no_shoot(*args, **kwargs):
-            raise AssertionError("shoot ran on a seed that already passes the gate")
-
+        # collocation solve; no refinement (and its Newton run) follows
         seed = torus_record.loop
         assert loop_mod.eta_norm(torus, seed, 0.5) < loop_mod.eta_gate(seed)
-        monkeypatch.setattr(solve, "shoot", no_shoot)
+        solves = _counted_solves(monkeypatch)
         out = solve.gradient_search(torus, 0.5, seed,
                                     schedule={"n_nodes": 128, "mode_count": 16})
         assert isinstance(out, solve.OrbitRecord) and out.certified
         assert out.method == "gradient_search"
         assert out.period == pytest.approx(torus_record.period, abs=1e-8)
+        assert solves == [(seed.period, solve.COLLOCATION_NODES)]
 
     def test_one_collocation_solve_per_seed(self, torus, monkeypatch):
         solves = []
         solve_closing = solve._solve_closing
 
-        def counted(sys, k, nodes, T, max_iter):
-            solves.append((len(nodes), max_iter))
-            return solve_closing(sys, k, nodes, T, max_iter)
+        def counted(sys, k, seed, n_nodes, max_iter):
+            solves.append((seed.n_nodes, n_nodes, max_iter))
+            return solve_closing(sys, k, seed, n_nodes, max_iter)
 
         monkeypatch.setattr(solve, "_solve_closing", counted)
         seed = solve.orbit_seed_loop(torus, 0.5, (1.0, 1.0), n_nodes=24, radius_scale=0.5)
         out = solve.gradient_search(torus, 0.5, seed,
                                     schedule={"n_nodes": 128, "mode_count": 16})
         assert isinstance(out, solve.OrbitRecord) and out.certified
-        assert solves == [(24, solve.DESCENT_MAX_ITER)]
+        assert solves == [(24, solve.COLLOCATION_NODES, solve.DESCENT_MAX_ITER)]
         assert out.loop.n_nodes == 128
 
-    def test_agrees_with_shoot(self, torus, torus_record):
+    def test_agrees_with_point_seed(self, torus, torus_record):
         seed = solve.orbit_seed_loop(torus, 0.5, (0.5, 0.5), n_nodes=48,
                                      radius_scale=0.8)
         out = solve.gradient_search(torus, 0.5, seed)
@@ -257,11 +208,12 @@ class TestGradientSearch:
             solve.gradient_search(torus, 0.5, seed, schedule=schedule)
 
 
-def _wobbly_loop(center, radius, dim, n_nodes=16, period=2.3):
+def _wobbly_loop(center, radius, dim, n_nodes=16, period=2.3, drift=0.0):
     s = np.arange(n_nodes) / n_nodes
     cols = [center[0] + radius * np.cos(TWO_PI * s), center[1] + 0.8 * radius * np.sin(TWO_PI * s)]
     cols += [center[i] + 0.2 * np.sin(2.0 * TWO_PI * s + i) for i in range(2, dim)]
-    return np.concatenate([np.stack(cols, axis=1).ravel(), [np.log(period)]])
+    nodes = np.stack(cols, axis=1) + s[:, None] * drift
+    return np.concatenate([nodes.ravel(), [np.log(period)]])
 
 
 class TestNewtonStop:
@@ -271,7 +223,7 @@ class TestNewtonStop:
     def test_exact_circle_stops_at_roundoff(self, torus):
         seed = solve.circle_loop((1.0, 1.0), 1.0, n_nodes=32, period=TWO_PI, orientation=-1)
         solved, eta, _, T, (res_norm, iterations, _, stop) = solve._solve_closing(
-            torus, 0.5, seed.nodes, seed.period, solve.DESCENT_MAX_ITER)
+            torus, 0.5, seed, solve.COLLOCATION_NODES, solve.DESCENT_MAX_ITER)
         assert stop == "roundoff" and iterations <= 1
         assert solved is not None and eta < loop_mod.eta_gate(solved)
         assert T == pytest.approx(TWO_PI, abs=1e-12)
@@ -282,26 +234,44 @@ class TestNewtonStop:
         sys = systems.flat_torus(b=0.0)
         seed = solve.circle_loop((1.0, 1.0), 0.5, n_nodes=24, period=2.0)
         solved, eta, _, _, (res_norm, _, _, stop) = solve._solve_closing(
-            sys, 0.5, seed.nodes, seed.period, solve.DESCENT_MAX_ITER)
+            sys, 0.5, seed, solve.COLLOCATION_NODES, solve.DESCENT_MAX_ITER)
         assert stop in ("stalled", "max_iterations")
         assert solved is None and res_norm > 1.0
 
 
+class TestLift:
+    def test_resample_keeps_a_winding_trigonometric_loop(self):
+        # the lift of a loop once around the first period: its periodic part
+        # has modes below both Nyquist modes, so resampling is exact
+        drift = np.array([TWO_PI, 0.0])
+
+        def lift(n_nodes):
+            s = np.arange(n_nodes)[:, None] / n_nodes
+            periodic = np.hstack([0.3 * np.sin(TWO_PI * s), 1.0 + 0.2 * np.cos(2 * TWO_PI * s)])
+            return periodic + s * drift
+
+        for n_in, n_out in ((16, 40), (40, 16)):
+            assert np.max(np.abs(solve._resample(lift(n_in), n_out, drift) - lift(n_out))) < 1e-13
+
+
 class TestClosingJacobian:
     CASES = {
-        "flat_torus": (systems.flat_torus, (1.0, 1.0), 0.5),
-        "sine_field_torus": (systems.sine_field_torus, (1.0, 1.0), 0.5),
-        "hyperbolic_chart": (systems.hyperbolic_chart, (0.2, 1.0), 0.3),
-        "random_trig_3d": (lambda: systems.random_trig_system(dim=3), (1.0, 1.0, 1.0), 0.5),
+        "flat_torus": (systems.flat_torus, (1.0, 1.0), 0.5, 0.0),
+        "sine_field_torus": (systems.sine_field_torus, (1.0, 1.0), 0.5, 0.0),
+        # the lift of a loop that winds once around the first lattice period
+        "sine_field_torus_winding": (systems.sine_field_torus, (1.0, 1.0), 0.5,
+                                     np.array([TWO_PI, 0.0])),
+        "hyperbolic_chart": (systems.hyperbolic_chart, (0.2, 1.0), 0.3, 0.0),
+        "random_trig_3d": (lambda: systems.random_trig_system(dim=3), (1.0, 1.0, 1.0), 0.5, 0.0),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_matches_central_differences(self, name):
-        make, center, radius = self.CASES[name]
+        make, center, radius, drift = self.CASES[name]
         sys = make()
-        u = _wobbly_loop(center, radius, sys.dim)
-        fvec = solve._closing_system(sys, 0.5)
-        jac = solve._closing_jacobian(sys, u)
+        u = _wobbly_loop(center, radius, sys.dim, drift=drift)
+        fvec = solve._closing_system(sys, 0.5, drift)
+        jac = solve._closing_jacobian(sys, u, drift)
         fd = np.empty_like(jac)
         for j in range(u.size):
             h = 1e-6 * max(1.0, abs(u[j]))
@@ -332,43 +302,23 @@ class TestContinuation:
         assert solve.continue_in_k(torus, torus_record, []) == []
 
 
-def _counting_integrators(monkeypatch):
-    """Spy on the integrators ``solve`` calls; returns the call log."""
-    calls = []
-    plain, variational = solve.integrate, solve.integrate_variational
-
-    def counted_plain(*args, **kwargs):
-        calls.append("plain")
-        return plain(*args, **kwargs)
-
-    def counted_variational(*args, **kwargs):
-        calls.append("variational")
-        return variational(*args, **kwargs)
-
-    monkeypatch.setattr(solve, "integrate", counted_plain)
-    monkeypatch.setattr(solve, "integrate_variational", counted_variational)
-    return calls
-
-
-def _failed_solve(sys, k, nodes, T, max_iter):
-    """A collocation solve whose loop misses the eta gate."""
-    return None, float("inf"), nodes, T, (float("inf"), max_iter, [float(np.log(T))], "stalled")
-
-
 class TestCollocationCorrector:
-    def test_matches_shoot_from_same_predictor(self, sine_sweep):
+    def test_matches_point_seed_from_same_state(self, sine_sweep):
+        # the continuation's corrector from the previous loop and a point
+        # seed from the previous orbit's start state find the same orbit
         sys, fam = sine_sweep
         prev, k = fam[1], 0.5
-        col = solve._collocation_record(sys, k, prev.loop.nodes, prev.period, 1e-12, 128, 16)
+        seed = loop_mod.DiscreteLoop(prev.loop.nodes, prev.period, prev.loop.winding)
+        col = solve._collocation_record(sys, k, seed, 1e-12, 128, 16)
         st0 = prev.orbit.state(0)
         v0 = st0.v * (np.sqrt(2.0 * k) / sys.norm(st0.x, st0.v))
-        sh = solve.shoot(sys, k, flow.PhaseState(st0.x, v0), prev.period,
-                         n_nodes=128, mode_count=16)
-        assert col.method == "collocation" and sh.method == "shoot"
-        assert col.certified and sh.certified
-        assert abs(col.period - sh.period) < 1e-10
-        assert col.index == sh.index == 1
-        assert col.index_report.near_zero == sh.index_report.near_zero
+        pt = solve.find_orbit(sys, k, flow.PhaseState(st0.x, v0), prev.period,
+                              n_nodes=128, mode_count=16, winding_target=(0, 0))
+        assert col.method == pt.method == "collocation"
+        assert col.certified and pt.certified
+        assert abs(col.period - pt.period) < 1e-10
+        assert col.index == pt.index == 1
+        assert col.index_report.near_zero == pt.index_report.near_zero
 
     def test_continuation_integrates_once_per_record(self, sine_sweep, monkeypatch):
         sys, fam = sine_sweep
@@ -379,7 +329,7 @@ class TestCollocationCorrector:
         assert all(rec.certified and rec.index == 1 for rec in out)
         assert calls == ["plain"] * 4
 
-    def test_polish_runs_no_variational_integration(self, torus, monkeypatch):
+    def test_descent_integrates_once(self, torus, monkeypatch):
         calls = _counting_integrators(monkeypatch)
         seed = solve.orbit_seed_loop(torus, 0.5, (1.0, 1.0), n_nodes=24, radius_scale=0.5)
         out = solve.gradient_search(torus, 0.5, seed,
@@ -387,73 +337,107 @@ class TestCollocationCorrector:
         assert out.method == "gradient_search" and out.certified
         assert calls == ["plain"]
 
-    def test_failed_collocation_falls_back_to_shoot(self, torus, torus_record, monkeypatch):
-        monkeypatch.setattr(solve, "_solve_closing", _failed_solve)
-        calls = _counting_integrators(monkeypatch)
-        out = solve.continue_in_k(torus, torus_record, [0.25, 1.0],
-                                  n_nodes=128, mode_count=8)
-        assert [rec.method for rec in out] == ["shoot", "shoot"]
-        assert all(rec.certified and rec.index == 1 for rec in out)
-        assert all(rec.period == pytest.approx(TWO_PI, abs=1e-8) for rec in out)
-        assert "variational" in calls
+    def test_failed_collocation_retries_with_the_kinetic_period(self, torus, torus_record,
+                                                                 monkeypatch):
+        # each predictor is refined up to MAX_COLLOCATION_NODES; then the
+        # kinetic period rescaling is tried, and a second failure is a fold
+        solves = []
 
-    def test_winding_record_takes_shoot_path(self, monkeypatch):
+        def failed(sys, k, seed, n_nodes, max_iter):
+            solves.append((seed.period, n_nodes))
+            return _failed_solve(sys, k, seed, n_nodes, max_iter)
+
+        monkeypatch.setattr(solve, "_solve_closing", failed)
+        out = solve.continue_in_k(torus, torus_record, [0.25, 1.0], n_nodes=128, mode_count=8)
+        assert len(out) == 1 and isinstance(out[0], solve.SearchFailure)
+        assert out[0].reason == "stalled" and "continuation fold at k=0.25" in out[0].detail
+        kinetic = torus_record.period * np.sqrt(0.5 / 0.25)
+        assert solves == [(torus_record.period, 32), (torus_record.period, 64),
+                          (torus_record.period, 128), (kinetic, 32), (kinetic, 64),
+                          (kinetic, 128)]
+
+    def test_winding_family_collocates(self):
+        # closed geodesics of the flat torus once around the first period:
+        # the lift x(s + 1) = x(s) + (2 pi, 0), period 2 pi / sqrt(2k)
         sys = systems.flat_torus(b=0.0)
-        rec = solve.shoot(sys, 0.5, flow.PhaseState([0.0, 1.0], [1.0, 0.0]), TWO_PI,
-                          winding_target=(1, 0), n_nodes=64, mode_count=4)
-        assert isinstance(rec, solve.OrbitRecord) and tuple(rec.winding) == (1, 0)
+        rec = solve.find_orbit(sys, 0.5, flow.PhaseState([0.0, 1.0], [1.0, 0.0]), 5.0,
+                               n_nodes=64, mode_count=4, winding_target=(1, 0))
+        assert isinstance(rec, solve.OrbitRecord) and rec.certified
+        assert rec.method == "collocation" and tuple(rec.winding) == (1, 0)
+        assert rec.period == pytest.approx(TWO_PI, abs=1e-8)
+        out = solve.continue_in_k(sys, rec, [0.25, 1.0, 2.0], n_nodes=64, mode_count=4)
+        for rec, k in zip(out, [0.25, 1.0, 2.0]):
+            assert isinstance(rec, solve.OrbitRecord) and rec.certified
+            assert rec.method == "collocation" and tuple(rec.winding) == (1, 0)
+            assert rec.period == pytest.approx(TWO_PI / np.sqrt(2.0 * k), abs=1e-8)
 
-        def no_collocation(*args):
-            raise AssertionError("collocation ran on a winding loop")
-
-        monkeypatch.setattr(solve, "_solve_closing", no_collocation)
-        out = solve.continue_in_k(sys, rec, [1.0], n_nodes=64, mode_count=4)
-        assert out[0].method == "shoot"
-        assert out[0].period == pytest.approx(TWO_PI / np.sqrt(2.0), abs=1e-8)
-
-    def test_unresolved_loop_falls_back_to_shoot(self, sine_sweep, monkeypatch):
+    def test_unresolved_loop_is_refined(self, sine_sweep, monkeypatch):
         # 8 nodes do not resolve these loops: the integrated orbit of the
-        # collocation solution misses the closure and eta gates
+        # collocation solution misses the closure and eta gates, and the
+        # solved loop is solved again at twice the nodes until one passes
         sys, fam = sine_sweep
         monkeypatch.setattr(solve, "COLLOCATION_NODES", 8)
+        solves = _counted_solves(monkeypatch)
         out = solve.continue_in_k(sys, fam[2], [1.0, 2.0], n_nodes=128, mode_count=16)
-        assert [rec.method for rec in out] == ["shoot", "shoot"]
+        assert [rec.method for rec in out] == ["collocation", "collocation"]
         assert all(rec.certified and rec.index == 1 for rec in out)
         for rec, ref in zip(out, fam[3:]):
             assert abs(rec.period - ref.period) < 1e-10
+        sizes = [n for _, n in solves]
+        assert sizes[0] == 8 and max(sizes) <= solve.MAX_COLLOCATION_NODES
+        assert all(b in (8, 2 * a) for a, b in zip(sizes, sizes[1:]))
+        assert len(sizes) > 2
 
 
 class TestFindOrbit:
-    """Point seeds: one collocation solve from the integrated seed, with
-    ``shoot`` as the fallback."""
+    """Point seeds: the seed integrated once and cut at its return time,
+    then the collocation corrector."""
 
-    def test_sweep_seed_collocates_without_shooting(self, sine_sweep, monkeypatch):
+    def test_sweep_seed_integrates_twice(self, sine_sweep, monkeypatch):
         sys, fam = sine_sweep
         calls = _counting_integrators(monkeypatch)
         seed = flow.PhaseState([np.pi / 2.0, 1.0], [np.sqrt(0.2), 0.0])
         out = solve.find_orbit(sys, 0.1, seed, TWO_PI / 1.2, winding_target=(0, 0))
         assert calls == ["plain", "plain"]   # the seed and the record
         assert out.method == "collocation" and out.certified
-        shot = fam[0]
-        assert shot.method == "shoot"
-        assert abs(out.period - shot.period) < 1e-10
-        assert out.index == shot.index == 1
-        assert out.index_report.near_zero == shot.index_report.near_zero
+        assert abs(out.period - fam[0].period) < 1e-10
+        assert out.index == fam[0].index == 1
+        assert out.index_report.near_zero == fam[0].index_report.near_zero
 
-    def test_failed_collocation_returns_shoot_record(self, torus, torus_record, monkeypatch):
-        monkeypatch.setattr(solve, "_solve_closing", _failed_solve)
+    def test_solve_stalled_above_roundoff_is_refined(self, monkeypatch):
+        # from the CLI's default seed the orbit of round_sphere(b=1) at k = 0.1
+        # spans x1 in [1, 2.6] of the chart: its 32-node solve stalls above
+        # roundoff with a loop inside the eta gate, and is solved again
+        sys, k = systems.round_sphere(b=1.0), 0.1
+        x, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        solves = _counted_solves(monkeypatch)
+        rec = solve.find_orbit(sys, k, flow.PhaseState(x, v * (np.sqrt(2.0 * k) / sys.norm(x, v))),
+                               TWO_PI, n_nodes=128, mode_count=16)
+        assert isinstance(rec, solve.OrbitRecord) and rec.certified
+        assert [n for _, n in solves] == [32, 64]
+        assert abs(rec.period - TWO_PI / np.sqrt(2.0 * k + 1.0)) < 1e-10
+
+    def test_failed_collocation_carries_the_last_solve(self, torus, monkeypatch):
+        solves = []
+
+        def failed(sys, k, seed, n_nodes, max_iter):
+            solves.append(n_nodes)
+            return _failed_solve(sys, k, seed, n_nodes, max_iter)
+
+        monkeypatch.setattr(solve, "_solve_closing", failed)
         out = solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
                                n_nodes=128, mode_count=16, winding_target=(0, 0))
-        assert out.method == "shoot" and out.certified
-        assert out.period == torus_record.period
+        assert isinstance(out, solve.SearchFailure)
+        assert (out.reason, out.iterations) == ("stalled", solve.PREDICTOR_MAX_ITER)
+        assert out.detail == "Newton stalled; orbit not found from this seed"
+        assert solves == [32, 64, 128]
 
-    def test_flow_error_in_the_seed_falls_back_to_shoot(self, torus, torus_record,
-                                                        monkeypatch):
+    def test_flow_error_in_the_seed_is_classified(self, torus, monkeypatch):
         plain = solve.integrate
         seeds = []
 
         def stiff_seed(sys, state, t_end, tolerance, samples):
-            if samples == solve.SEED_NODES + 1:
+            if tolerance == solve.SEED_TOLERANCE:
                 seeds.append(state)
                 raise StiffTrajectoryError("stiff seed")
             return plain(sys, state, t_end, tolerance=tolerance, samples=samples)
@@ -462,17 +446,11 @@ class TestFindOrbit:
         out = solve.find_orbit(torus, 0.5, flow.PhaseState([0.0, 0.0], [1.0, 0.0]), 6.0,
                                n_nodes=128, mode_count=16, winding_target=(0, 0))
         assert len(seeds) == 1
-        assert out.method == "shoot" and out.period == torus_record.period
-
-    def test_winding_target_never_collocates(self, monkeypatch):
-        def no_collocation(*args):
-            raise AssertionError("collocation ran for a winding target")
-
-        monkeypatch.setattr(solve, "_solve_closing", no_collocation)
-        sys = systems.flat_torus(b=0.0)
-        out = solve.find_orbit(sys, 0.5, flow.PhaseState([0.0, 1.0], [1.0, 0.0]), TWO_PI,
-                               n_nodes=64, mode_count=4, winding_target=(1, 0))
-        assert out.method == "shoot" and tuple(out.winding) == (1, 0)
+        assert isinstance(out, solve.SearchFailure) and out.reason == "seed_flow"
+        assert "StiffTrajectoryError: stiff seed" in out.detail
+        assert out.iterations == 0 and out.period_trace == [6.0]
+        # no residual was computed: strict JSON has no Infinity
+        assert out.to_json()["residual"] is None
 
     def test_seed_that_swaps_charts_is_predicted_from_its_transition_image(self):
         sys = systems.round_sphere(b=1.0)
@@ -480,9 +458,40 @@ class TestFindOrbit:
         state = flow.PhaseState(x, v / sys.norm(x, v))
         orbit = flow.integrate(sys, state, TWO_PI, samples=solve.SEED_NODES + 1)
         assert orbit.meta["chart_swaps_total"] >= 1
-        nodes = solve._seed_nodes(sys, state, TWO_PI)
-        assert nodes.shape == (solve.SEED_NODES, 2)
-        assert np.allclose(nodes[0], sys.transition(state.x, state.v)[0])
+        seed = solve._seed_loop(sys, state, TWO_PI, None)
+        assert seed.nodes.shape == (solve.SEED_NODES, 2)
+        assert np.allclose(seed.nodes[0], sys.transition(state.x, state.v)[0])
+
+    def test_seed_is_cut_at_its_return_time(self):
+        # at k = 0.5 on the round sphere with b = 1 every orbit closes after
+        # 2 pi / sqrt(2k + 1) = 4.44, far from the cyclotron guess 2 pi; the
+        # cut lies within one sample step of it, nearer the guess than the
+        # second return
+        sys = systems.round_sphere(b=1.0)
+        x, v = np.zeros(2), np.array([1.0, 0.0])
+        seed = solve._seed_loop(sys, flow.PhaseState(x, v / sys.norm(x, v)), TWO_PI, None)
+        assert abs(seed.period - TWO_PI / np.sqrt(2.0)) <= TWO_PI / solve.RETURN_STEPS
+        assert tuple(seed.winding) == (0, 0)
+
+    @pytest.mark.parametrize("k", [0.1, 0.5, 2.0])
+    def test_three_dimensional_seed_ends_in_record_or_classified_failure(self, k):
+        # the CLI's default seed and period guess on a system of dimension 3
+        sys = systems.random_trig_system(dim=3)
+        x, v = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        state = flow.PhaseState(x, v * (np.sqrt(2.0 * k) / sys.norm(x, v)))
+        out = solve.find_orbit(sys, k, state, TWO_PI / np.sqrt(2.0 * k),
+                               n_nodes=128, mode_count=16)
+        if isinstance(out, solve.OrbitRecord):
+            assert out.certified and out.closure_residual < solve.CLOSURE_GATE
+        else:
+            assert out.reason in ("stalled", "max_iterations", "singular", "period_collapse",
+                                  "closure_gate", "eta_gate")
+
+    def test_seed_without_target_winds_as_its_orbit(self):
+        sys = systems.flat_torus(b=0.0)
+        seed = solve._seed_loop(sys, flow.PhaseState([0.0, 1.0], [1.0, 0.0]), 5.0, None)
+        assert tuple(seed.winding) == (1, 0)
+        assert seed.period == pytest.approx(TWO_PI, abs=5.0 / solve.RETURN_STEPS)
 
 
 class TestRecord:
@@ -498,7 +507,7 @@ class TestRecord:
 
         monkeypatch.setattr(loop_mod, "_force_residual", counted)
         rec = solve._build_record(torus, 0.5, np.zeros(2), np.array([1.0, 0.0]), TWO_PI,
-                                  1e-12, 128, 16, True)
+                                  1e-12, 128, 16)
         assert rec.certified and rec.index == 1
         assert len(loops) == 1 and loops[0] is rec.loop
 
@@ -510,7 +519,7 @@ class TestRecord:
 
         monkeypatch.setattr(loop_mod, "morse_index", no_index)
         out = solve._build_record(torus, 0.5, np.zeros(2), np.array([1.0, 0.0]), 5.0,
-                                  1e-12, 128, 16, True)
+                                  1e-12, 128, 16)
         assert isinstance(out, solve.SearchFailure) and out.reason == "closure_gate"
         assert out.residual > solve.CLOSURE_GATE
         assert f"by {out.residual - solve.CLOSURE_GATE:.3e}" in out.detail
